@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CacheError
-from .intplaces import FactoredValue
+from .intplaces import FactoredValue, from_decimal, to_decimal
 from .maps import INFINITY
 
 ENV_CACHE_DIR = "ORBITPRIMES_CACHE_DIR"
@@ -47,16 +47,16 @@ def _entry_payload(entry: CacheEntry) -> dict:
     payload = {
         "map_hash": entry.map_hash,
         "n": entry.n,
-        "numer": str(entry.numer),
-        "denom": str(entry.denom),
+        "numer": to_decimal(entry.numer),
+        "denom": to_decimal(entry.denom),
         "factor_data": None,
     }
     if entry.factored is not None:
         fac = entry.factored
         payload["factor_data"] = {
             "sign": fac.sign,
-            "prime_powers": [[str(p), e] for p, e in fac.prime_powers],
-            "cofactor": None if fac.cofactor is None else str(fac.cofactor),
+            "prime_powers": [[to_decimal(p), e] for p, e in fac.prime_powers],
+            "cofactor": None if fac.cofactor is None else to_decimal(fac.cofactor),
             "certified": fac.certified,
         }
     return payload
@@ -86,15 +86,15 @@ def _parse_line(line: str, line_number: int) -> CacheEntry:
             fd = obj["factor_data"]
             factored = FactoredValue(
                 sign=fd["sign"],
-                prime_powers=tuple((int(p), int(e)) for p, e in fd["prime_powers"]),
-                cofactor=None if fd["cofactor"] is None else int(fd["cofactor"]),
+                prime_powers=tuple((from_decimal(p), int(e)) for p, e in fd["prime_powers"]),
+                cofactor=None if fd["cofactor"] is None else from_decimal(fd["cofactor"]),
                 certified=fd["certified"],
             )
         return CacheEntry(
             map_hash=obj["map_hash"],
             n=int(obj["n"]),
-            numer=int(obj["numer"]),
-            denom=int(obj["denom"]),
+            numer=from_decimal(obj["numer"]),
+            denom=from_decimal(obj["denom"]),
             factored=factored,
         )
     except (KeyError, ValueError, TypeError) as exc:

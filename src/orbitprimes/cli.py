@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
     p.add_argument("--squarefree-max-n", type=int, default=zsigmondy.DEFAULT_SQUAREFREE_DEPTH)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache", help="orbit cache file (JSON lines)")
 
     p = sub.add_parser("height", help="Weil height of a point")
@@ -218,7 +217,6 @@ def _run_orbit_like(args, want_zsigmondy: bool):
             depth=args.max_n,
             budget=_budget(args),
             squarefree_depth=args.squarefree_max_n,
-            workers=args.workers,
             seed_values=seed_values,
             factor_cache=factor_cache,
         )

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import ExprSyntaxError, ResourceCapError
+from .intplaces import from_decimal
 
 MAX_EXPR_DEGREE = 1024
 
@@ -49,7 +50,7 @@ def tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", from_decimal(text[i:j]), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from . import polys
 from .errors import ResourceCapError
-from .intplaces import DEFAULT_BUDGET, FactoredValue, factor
+from .intplaces import DEFAULT_BUDGET, FactoredValue
+from .maps import OrbitWalk, RationalMap
+from .zsigmondy import OrbitRecord, squarefree_primitive_prime
 
 DEFAULT_LEVEL_CAP = 5
 
@@ -33,28 +36,29 @@ def quadratic_iterate(a: int, m: int):
     """The m-th iterate of x^2 + a as an integer-coefficient polynomial."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    current = [0, 1]  # x
-    f = [a, 0, 1]
-    for _ in range(m):
-        current = _compose(current, f)
-    return current
+    if m == 0:
+        return [0, 1]  # x
+    return _quadratic_map(a).iterate(m).numerator_poly
 
 
-def _compose(outer, inner):
-    acc = []
-    for c in reversed(outer):
-        acc = polys.add(polys.mul(acc, inner), [c] if c else [])
-    return acc
+def _quadratic_map(a: int) -> RationalMap:
+    return RationalMap([a, 0, 1], [1])
+
+
+def _critical_walk(a: int, length: int) -> OrbitWalk:
+    """The orbit of 0 under x^2 + a, walked `length` steps; a value past the
+    digit cap raises ResourceCapError."""
+    walk = OrbitWalk(_quadratic_map(a), 0)
+    for _ in islice(walk, length):
+        pass
+    if walk.cap_error is not None:
+        raise walk.cap_error
+    return walk
 
 
 def critical_orbit(a: int, length: int):
     """f(0), f^2(0), ..., f^length(0) for f = x^2 + a."""
-    values = []
-    v = 0
-    for _ in range(length):
-        v = v * v + a
-        values.append(v)
-    return values
+    return [v.numerator for v in _critical_walk(a, length).values[1:]]
 
 
 @dataclass(frozen=True)
@@ -119,57 +123,38 @@ class GaloisTowerRecord:
 def _check_admissible(a: int, depth: int):
     if a == 0:
         raise ValueError("a must be nonzero")
-    values = critical_orbit(a, depth)
-    seen = {0}
-    for v in values:
-        if v in seen:
-            raise ValueError(
-                f"0 is preperiodic for x^2 + ({a}) within depth {depth}; "
-                "the certificate search does not apply"
-            )
-        seen.add(v)
-    return values
+    walk = _critical_walk(a, depth)
+    if walk.tail is not None:
+        raise ValueError(
+            f"0 is preperiodic for x^2 + ({a}) within depth {depth}; "
+            "the certificate search does not apply"
+        )
+    return [v.numerator for v in walk.values[1:]]
 
 
 def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET) -> GaloisTowerRecord:
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
     valuation 0 at every earlier critical value.
 
-    Only the part of the critical value coprime to 2 and to the earlier
-    values can contain a certificate, and gcd-stripping preserves the
-    exponents of the surviving primes, so only that part is factored.
+    This is the primitive square-free prime of the orbit 2, f(0), f^2(0), ...
+    at f^(n+1)(0): only the part of the critical value coprime to 2 and to
+    the earlier values can contain a certificate, and gcd-stripping
+    preserves the exponents of the surviving primes, so only that part is
+    factored.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     values = _check_admissible(a, n + 1)
-    critical = values[-1]
-    earlier = [abs(v) for v in values[:-1]]
-    part = abs(critical)
-    while part % 2 == 0:
-        part //= 2
-    for e in earlier:
-        g = _gcd(part, e)
-        while g > 1:
-            part //= g
-            g = _gcd(part, e)
-    guarantee = a > 0 and a % 4 in (1, 2)
-    if part == 1:
-        return GaloisTowerRecord(a=a, n=n, critical_value=critical, certificate=None,
-                                 status="no-certificate", stoll_guarantee=guarantee)
-    fac = factor(part, budget=budget)
-    certificate = None
-    for p, e in fac.prime_powers:
-        if e == 1:
-            certificate = p
-            break
+    records = [OrbitRecord(n=k, value=v) for k, v in enumerate([2] + values, start=1)]
+    certificate, unresolved, fac = squarefree_primitive_prime(records, n + 2, budget=budget)
     if certificate is not None:
         _validate_certificate(certificate, values)
-        return GaloisTowerRecord(a=a, n=n, critical_value=critical,
-                                 certificate=certificate, status="certified",
-                                 stoll_guarantee=guarantee, factored=fac)
-    status = "unresolved" if not fac.is_complete else "no-certificate"
-    return GaloisTowerRecord(a=a, n=n, critical_value=critical, certificate=None,
-                             status=status, stoll_guarantee=guarantee, factored=fac)
+        status = "certified"
+    else:
+        status = "unresolved" if unresolved else "no-certificate"
+    return GaloisTowerRecord(a=a, n=n, critical_value=values[-1], certificate=certificate,
+                             status=status, stoll_guarantee=a > 0 and a % 4 in (1, 2),
+                             factored=fac)
 
 
 def _validate_certificate(p: int, values):
@@ -187,12 +172,6 @@ def _validate_certificate(p: int, values):
     for earlier in values[:-1]:
         if earlier % p == 0:
             raise AssertionError("certificate divides an earlier critical value")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def tower_report(a: int, max_level: int, budget: int = DEFAULT_BUDGET):

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
 from typing import Optional
 
 from . import polys
-from .errors import ResourceCapError
 from .ffplaces import FFElement, ff_height
 from .intplaces import log_fraction, log_int
-from .maps import INFINITY, RationalMap, as_point
+from .maps import INFINITY, OrbitWalk, RationalMap, as_point
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,10 @@ def multi_height(values) -> HeightValue:
     vals = [Fraction(v) for v in values]
     if not vals or all(v == 0 for v in vals):
         raise ValueError("multi_height needs a tuple with a nonzero entry")
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vals]
-    g = 0
-    for a in ints:
-        g = _gcd(g, abs(a))
-    arg = Fraction(max(abs(a) for a in ints), g)
+    scale = lcm(*(v.denominator for v in vals))
+    ints = [int(v * scale) for v in vals]
+    arg = Fraction(max(abs(a) for a in ints), gcd(*ints))
     return HeightValue(value=log_fraction(arg), field="Q", log_arg=arg)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def phi_height_bound(rmap: RationalMap) -> float:
@@ -159,6 +149,18 @@ def _tail_radius(c_phi: float, d: int, n: int) -> float:
     return c_phi / (d**n * (1.0 - 1.0 / d))
 
 
+def _estimate_at_last(walk: OrbitWalk, c_phi: float, d: int) -> CanonicalHeightEstimate:
+    """h(phi^N(alpha)) / d^N at the walk's last value phi^N(alpha)."""
+    n = len(walk.values) - 1
+    return CanonicalHeightEstimate(
+        estimate=height_float(walk.values[-1]) / d**n,
+        error_radius=_tail_radius(c_phi, d, n),
+        iterations_used=n,
+        c_phi=c_phi,
+        capped=walk.cap_error is not None,
+    )
+
+
 def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHeightEstimate:
     """Estimate the canonical height of alpha with error radius <= tol.
 
@@ -174,22 +176,9 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     target_n = 0
     while _tail_radius(c_phi, d, target_n) > tol:
         target_n += 1
-    value = as_point(alpha)
-    seen = {value}
-    n = 0
-    while n < target_n:
-        try:
-            value = rmap.evaluate(value)
-        except ResourceCapError:
-            return CanonicalHeightEstimate(
-                estimate=height_float(value) / d**n,
-                error_radius=_tail_radius(c_phi, d, n),
-                iterations_used=n,
-                c_phi=c_phi,
-                capped=True,
-            )
-        n += 1
-        if value in seen:
+    walk = OrbitWalk(rmap, alpha)
+    for n, _ in islice(walk, target_n):
+        if walk.tail is not None:
             return CanonicalHeightEstimate(
                 estimate=0.0,
                 error_radius=0.0,
@@ -197,13 +186,7 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
                 c_phi=c_phi,
                 preperiodic=True,
             )
-        seen.add(value)
-    return CanonicalHeightEstimate(
-        estimate=height_float(value) / d**target_n,
-        error_radius=_tail_radius(c_phi, d, target_n),
-        iterations_used=target_n,
-        c_phi=c_phi,
-    )
+    return _estimate_at_last(walk, c_phi, d)
 
 
 @dataclass(frozen=True)
@@ -225,41 +208,21 @@ def classify_point(rmap: RationalMap, alpha, max_steps: int = 2000) -> PointClas
     """
     c_phi = phi_height_bound(rmap)
     d = rmap.degree
-    value = as_point(alpha)
-    seen = {value: 0}
-    prev = value
-    for n in range(1, max_steps + 1):
-        try:
-            value = rmap.evaluate(value)
-        except ResourceCapError:
-            # The previous value already dwarfs every preperiodic height.
-            est = CanonicalHeightEstimate(
-                estimate=height_float(prev) / d ** (n - 1),
-                error_radius=_tail_radius(c_phi, d, n - 1),
-                iterations_used=n - 1,
-                c_phi=c_phi,
-                capped=True,
-            )
-            if est.estimate > est.error_radius:
-                return PointClassification(kind="wandering", height_estimate=est)
-            return PointClassification(
-                kind="inconclusive", note="size cap reached before a certificate"
-            )
-        if value in seen:
-            tail = seen[value]
-            return PointClassification(kind="preperiodic", tail=tail, period=n - tail)
-        seen[value] = n
-        prev = value
-        estimate = height_float(value) / d**n
-        radius = _tail_radius(c_phi, d, n)
-        if estimate - radius > 0:
-            est = CanonicalHeightEstimate(
-                estimate=estimate,
-                error_radius=radius,
-                iterations_used=n,
-                c_phi=c_phi,
-            )
+    walk = OrbitWalk(rmap, alpha)
+    for _ in islice(walk, max_steps):
+        if walk.tail is not None:
+            return PointClassification(kind="preperiodic", tail=walk.tail, period=walk.period)
+        est = _estimate_at_last(walk, c_phi, d)
+        if est.estimate > est.error_radius:
             return PointClassification(kind="wandering", height_estimate=est)
+    if walk.cap_error is not None:
+        # The last value already dwarfs every preperiodic height.
+        est = _estimate_at_last(walk, c_phi, d)
+        if est.estimate > est.error_radius:
+            return PointClassification(kind="wandering", height_estimate=est)
+        return PointClassification(
+            kind="inconclusive", note="size cap reached before a certificate"
+        )
     return PointClassification(
         kind="inconclusive", note=f"no certificate within {max_steps} steps"
     )

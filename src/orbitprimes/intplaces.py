@@ -251,6 +251,36 @@ def log_fraction(x) -> float:
     return log_int(x.numerator) - log_int(x.denominator)
 
 
+# Pieces at most this large convert with the builtins: 2000 bits is at most
+# 603 digits, below the smallest int/str digit guard the interpreter allows
+# (640), so the guard never fires and is never changed.
+_DECIMAL_PIECE_BITS = 2000
+_DECIMAL_PIECE_DIGITS = 600
+
+
+def to_decimal(n: int) -> str:
+    """Decimal string of an integer of any size, split at powers of ten."""
+    if n < 0:
+        return "-" + to_decimal(-n)
+    if n.bit_length() <= _DECIMAL_PIECE_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # at most half the digit count
+    high, low = divmod(n, 10**k)
+    return to_decimal(high) + to_decimal(low).zfill(k)
+
+
+def from_decimal(text: str) -> int:
+    """Inverse of to_decimal: an optionally signed string of decimal digits."""
+    if len(text) <= _DECIMAL_PIECE_DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] == "-" else text
+    if not digits.isdigit():
+        raise ValueError(f"invalid decimal literal of {len(text)} characters")
+    k = len(digits) // 2
+    value = from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
+    return -value if digits is not text else value
+
+
 @dataclass(frozen=True)
 class LogMass:
     """Sum of log p over a set of primes, tracked with its exact radical.

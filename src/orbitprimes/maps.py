@@ -13,6 +13,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Optional
 
 from . import polys
@@ -191,12 +192,9 @@ class RationalMap:
         num_q = [Fraction(c) for c in num]
         den_q = [Fraction(c) for c in den]
         # integral model with joint content 1
-        lcm = 1
-        for c in num_q + den_q:
-            d = c.denominator
-            lcm = lcm * d // int_gcd(lcm, d)
-        num_i = [int(c * lcm) for c in num_q]
-        den_i = [int(c * lcm) for c in den_q]
+        scale = lcm(*(c.denominator for c in num_q + den_q))
+        num_i = [int(c * scale) for c in num_q]
+        den_i = [int(c * scale) for c in den_q]
         g = int_gcd(polys.content(num_i), polys.content(den_i))
         num_i = [c // g for c in num_i]
         den_i = [c // g for c in den_i]
@@ -459,16 +457,7 @@ class RationalMap:
     # -- structure ---------------------------------------------------------------
 
     def is_power_map(self) -> bool:
-        """True only for literal c*x^d or c*x^(-d) (no conjugation detected)."""
-        num = self.numer_coeffs
-        den = self.denom_coeffs
-        num_monomial = sum(1 for c in num if c != 0) == 1
-        den_monomial = sum(1 for c in den if c != 0) == 1
-        if not (num_monomial and den_monomial):
-            return False
-        dn = polys.degree(list(num))
-        dd = polys.degree(list(den))
-        return (dn == self.degree and dd == 0) or (dn == 0 and dd == self.degree)
+        return _is_power_map(self)
 
     def preimage_count(self, beta, n: int) -> int:
         """Number of distinct points in phi^(-n)(beta) over the algebraic closure."""
@@ -542,6 +531,15 @@ class RationalMap:
             depth=depth,
             threshold=threshold,
         )
+
+
+def _is_power_map(rmap) -> bool:
+    """True only for literal c*x^d or c*x^(-d) (no conjugation detected)."""
+    num, den = rmap.numer_coeffs, rmap.denom_coeffs
+    if sum(1 for c in num if c) != 1 or sum(1 for c in den if c) != 1:
+        return False
+    dn, dd = polys.degree(num), polys.degree(den)
+    return (dn, dd) in ((rmap.degree, 0), (0, rmap.degree))
 
 
 def _ivec_mul(a, b):
@@ -621,15 +619,7 @@ class RationalMapFF:
         return pv / qv
 
     def is_power_map(self) -> bool:
-        num = self.numer_coeffs
-        den = self.denom_coeffs
-        num_monomial = sum(1 for c in num if c) == 1
-        den_monomial = sum(1 for c in den if c) == 1
-        if not (num_monomial and den_monomial):
-            return False
-        dn = polys.degree(list(num))
-        dd = polys.degree(list(den))
-        return (dn == self.degree and dd == 0) or (dn == 0 and dd == self.degree)
+        return _is_power_map(self)
 
     def to_string(self) -> str:
         def side(coeffs):
@@ -655,3 +645,51 @@ class RationalMapFF:
 
     def __repr__(self):
         return f"RationalMapFF({self.to_string()})"
+
+
+class OrbitWalk:
+    """The forward orbit alpha, phi(alpha), phi^2(alpha), ... of one point.
+
+    Iterating yields (n, phi^n(alpha)) for n = 1, 2, ... and records every
+    value in `values` (values[0] is alpha).  The first value equal to an
+    earlier phi^tail(alpha) sets `tail` and `period`; from then on the cycle
+    is replayed without arithmetic.  The walk ends only when the next value
+    would exceed the map's digit cap: `cap_error` then holds the
+    ResourceCapError.  `seed_values` replays already-known values phi^1,
+    phi^2, ... (a cache resume) instead of evaluating them.
+    """
+
+    def __init__(self, rmap, alpha, seed_values=()):
+        if not isinstance(rmap, RationalMapFF):
+            alpha = as_point(alpha)
+        elif alpha is not INFINITY and not isinstance(alpha, FFElement):
+            alpha = FFElement.from_const(alpha)
+        self.values = [alpha]
+        self.tail = None
+        self.period = None
+        self.cap_error = None
+        self._rmap = rmap
+        self._seeds = list(seed_values)
+        self._first_index = {alpha: 0}
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        n = len(self.values)
+        if self.tail is not None:
+            value = self.values[self.tail + (n - self.tail) % self.period]
+        elif n <= len(self._seeds):
+            value = self._seeds[n - 1]
+        else:
+            try:
+                value = self._rmap.evaluate(self.values[-1])
+            except ResourceCapError as exc:
+                self.cap_error = exc
+                raise StopIteration from None
+        if self.tail is None:
+            first = self._first_index.setdefault(value, n)
+            if first != n:
+                self.tail, self.period = first, n - first
+        self.values.append(value)
+        return n, value

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from .intplaces import to_decimal
+
 
 def strip(coeffs):
     """Drop trailing zero coefficients."""
@@ -366,12 +368,13 @@ def solve_exact(matrix, rhs):
 def _coeff_str(c):
     c = Fraction(c)
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return to_decimal(c.numerator)
+    return f"{to_decimal(c.numerator)}/{to_decimal(c.denominator)}"
 
 
 def to_string(p, var="x"):
     """Canonical descending-degree rendering, round-trippable by the parser."""
+    p = strip(p)
     if is_zero(p):
         return "0"
     terms = []
@@ -388,7 +391,7 @@ def to_string(p, var="x"):
             if mag == 1:
                 body = xpow
             elif mag.denominator == 1:
-                body = f"{mag.numerator}*{xpow}"
+                body = f"{to_decimal(mag.numerator)}*{xpow}"
             else:
                 body = f"({_coeff_str(mag)})*{xpow}"
         terms.append((sign, body))

@@ -9,21 +9,16 @@ positive denominator (plain "p" when the denominator is 1).
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from importlib import resources
 
 from . import polys
 from .errors import InvariantError
 from .ffplaces import FFElement
+from .intplaces import to_decimal
 from .maps import INFINITY
 
 SCHEMA_VERSION = 1
-
-# Orbit values are serialized as decimal strings; the interpreter's default
-# int-to-str guard (4300 digits) would truncate that contract.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(20_000_000)
 
 
 def load_schema() -> dict:
@@ -71,7 +66,7 @@ def validate_report(report: dict):
 # ---------------------------------------------------------------------------
 
 def big(n: int) -> str:
-    return str(int(n))
+    return to_decimal(int(n))
 
 
 def rational_str(z) -> str:
@@ -79,8 +74,8 @@ def rational_str(z) -> str:
         return "inf"
     z = Fraction(z)
     if z.denominator == 1:
-        return str(z.numerator)
-    return f"{z.numerator}/{z.denominator}"
+        return to_decimal(z.numerator)
+    return f"{to_decimal(z.numerator)}/{to_decimal(z.denominator)}"
 
 
 def value_str(v) -> str:

@@ -15,9 +15,9 @@ via the multiplicity-1 component of a square-free decomposition.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd as int_gcd
 from typing import Optional
 
@@ -26,7 +26,7 @@ from .errors import ResourceCapError
 from .ffplaces import FFElement
 from .heights import PointClassification, classify_point, height_float
 from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, log_int
-from .maps import INFINITY, RamificationVerdict, RationalMap, RationalMapFF, as_point
+from .maps import INFINITY, OrbitWalk, RamificationVerdict, RationalMap, RationalMapFF, as_point
 
 DEFAULT_PRIMITIVE_DEPTH = 12
 DEFAULT_SQUAREFREE_DEPTH = 7
@@ -148,50 +148,19 @@ def orbit(rmap, alpha, depth: int, seed_values=None):
     `seed_values` replays already-known values phi^1.. without recomputing
     them (cache resume); all bookkeeping still runs over the seeds.
     """
-    if isinstance(rmap, RationalMapFF):
-        if alpha is not INFINITY and not isinstance(alpha, FFElement):
-            alpha = FFElement.from_const(alpha)
+    walk = OrbitWalk(rmap, alpha, seed_values or ())
+    records = []
+    for n, value in islice(walk, depth):
+        records.append(OrbitRecord(n=n, value=value))
+        if walk.tail is None and _is_zero_value(value):
+            return records, Termination(kind="hit-zero", zero_index=n)
+    if walk.tail is not None:
+        termination = Termination(kind="preperiodic", tail=walk.tail, period=walk.period)
+    elif walk.cap_error is not None:
+        termination = Termination(kind="resource-cap")
     else:
-        alpha = as_point(alpha)
-    seeds = list(seed_values or [])
-    values = [alpha]
-    seen = {_key(alpha): 0}
-    termination = Termination(kind="reached-n")
-    n = 0
-    while n < depth:
-        try:
-            if n < len(seeds):
-                nxt = seeds[n]
-            else:
-                nxt = rmap.evaluate(values[-1])
-        except ResourceCapError:
-            termination = Termination(kind="resource-cap")
-            break
-        n += 1
-        key = _key(nxt)
-        if key in seen:
-            tail = seen[key]
-            period = n - tail
-            while len(values) - 1 < depth:
-                k = len(values)
-                values.append(values[tail + ((k - tail) % period)])
-            termination = Termination(kind="preperiodic", tail=tail, period=period)
-            break
-        values.append(nxt)
-        seen[key] = n
-        if _is_zero_value(nxt):
-            termination = Termination(kind="hit-zero", zero_index=n)
-            break
-    records = [OrbitRecord(n=k, value=values[k]) for k in range(1, len(values))]
+        termination = Termination(kind="reached-n")
     return records, termination
-
-
-def _key(value):
-    if value is INFINITY:
-        return "inf"
-    if isinstance(value, FFElement):
-        return (value.num, value.den)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +182,12 @@ def primitive_part(records, n: int, domain=_IntValues):
         if domain.is_zero(earlier):
             # an exact zero upstream absorbs every prime
             return _unit_of(domain)
+        # every prime shared with `earlier` divides g, so later rounds
+        # need only the (smaller) g
         g = domain.gcd(part, earlier)
         while not domain.is_unit(g):
             part = domain.div(part, g)
-            g = domain.gcd(part, earlier)
+            g = domain.gcd(part, g)
     return part
 
 
@@ -320,7 +291,6 @@ def zsigmondy_report(
     depth: int = DEFAULT_PRIMITIVE_DEPTH,
     budget: int = DEFAULT_BUDGET,
     squarefree_depth: int = DEFAULT_SQUAREFREE_DEPTH,
-    workers: int = 1,
     ramification_depth: int = 3,
     seed_values=None,
     factor_cache=None,
@@ -349,17 +319,10 @@ def zsigmondy_report(
 
     sf_records = [rec for rec in analyzable if rec.n <= squarefree_depth]
     if domain is _IntValues:
-        def sf_task(rec):
-            return squarefree_primitive_prime(
+        for rec in sf_records:
+            prime, unresolved, fac = squarefree_primitive_prime(
                 records, rec.n, budget=budget, precomputed=factor_cache.get(rec.n)
             )
-
-        if workers > 1 and len(sf_records) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(sf_task, sf_records))
-        else:
-            results = [sf_task(rec) for rec in sf_records]
-        for rec, (prime, unresolved, fac) in zip(sf_records, results):
             rec.squarefree_witness = prime
             rec.squarefree_unresolved = unresolved
             rec.has_squarefree_primitive = None if unresolved else prime is not None

@@ -29,11 +29,11 @@ def test_quadratic_iterate():
     assert quadratic_iterate(1, 1) == [1, 0, 1]
     assert quadratic_iterate(1, 2) == [2, 0, 2, 0, 1]
     assert quadratic_iterate(1, 0) == [0, 1]
-    f3 = quadratic_iterate(1, 3)
-    expr = x
-    for _ in range(3):
-        expr = sympy.expand(expr.subs(x, x**2 + 1))
-    assert f3 == [int(expr.coeff(x, k)) for k in range(9)]
+    for a in range(-5, 6):
+        expr = x
+        for m in range(6):
+            assert quadratic_iterate(a, m) == sympy.Poly(expr, x).all_coeffs()[::-1], (a, m)
+            expr = sympy.compose(expr, x**2 + a)
 
 
 def test_critical_orbit():

@@ -1,0 +1,196 @@
+"""The orbit walker's consumers against a naive loop over rmap.evaluate.
+
+The naive loop keeps every value in a list and finds a repeat by list
+search, so it shares nothing with maps.OrbitWalk but the map itself.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from orbitprimes import INFINITY, RationalMap
+from orbitprimes.errors import MapConstructionError, ResourceCapError
+from orbitprimes.galois import critical_orbit, stoll_certificate
+from orbitprimes.heights import (
+    _tail_radius,
+    canonical_height,
+    classify_point,
+    height_float,
+    phi_height_bound,
+)
+from orbitprimes.zsigmondy import orbit
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def naive_walk(rmap, alpha, steps):
+    """(values, repeat, capped): values[0] is alpha; the walk stops at the
+    first value equal to an earlier one, with repeat = (n, tail)."""
+    values = [alpha]
+    for n in range(1, steps + 1):
+        try:
+            value = rmap.evaluate(values[-1])
+        except ResourceCapError:
+            return values, None, True
+        repeat = next((k for k, v in enumerate(values) if v == value), None)
+        values.append(value)
+        if repeat is not None:
+            return values, (n, repeat), False
+    return values, None, False
+
+
+def naive_orbit(rmap, alpha, depth):
+    """Values phi^1..phi^depth and the termination (kind, zero, tail, period)."""
+    values, repeat, capped = naive_walk(rmap, alpha, depth)
+    for n in range(1, len(values)):
+        if values[n] == 0 and (repeat is None or n < repeat[0]):
+            return values[1:n + 1], ("hit-zero", n, None, None)
+    if repeat is not None:
+        n, tail = repeat
+        period = n - tail
+        while len(values) <= depth:
+            values.append(values[len(values) - period])
+        return values[1:], ("preperiodic", None, tail, period)
+    return values[1:], ("resource-cap" if capped else "reached-n", None, None, None)
+
+
+def _times_linear(coeffs, r):
+    """Coefficients of (x - r) * sum coeffs[k] x^k."""
+    out = [0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k + 1] += c
+        out[k] -= r * c
+    return out
+
+
+coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+points = st.one_of(
+    st.just(INFINITY),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def map_and_point(draw):
+    num, den = draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        # alpha is a root of the numerator, so phi(alpha) = 0
+        alpha = draw(st.integers(-2, 2))
+        num = _times_linear(num, alpha)
+        alpha = Fraction(alpha)
+    else:
+        alpha = draw(points)
+    try:
+        rmap = RationalMap(num, den, digit_cap=draw(st.sampled_from([5, 30, 300])))
+    except MapConstructionError:
+        assume(False)
+    return rmap, alpha
+
+
+def _case(num, den, alpha, cap):
+    return RationalMap(num, den, digit_cap=cap), alpha
+
+
+PREPERIODIC_AT_ZERO = _case([-1, 0, 1], [1], Fraction(0), 30)  # 0, -1, 0
+HITS_ZERO = _case([-1, 0, 1], [1], Fraction(1), 30)  # 1, 0, -1, 0
+CAPPED = _case([1, 0, 1], [1], Fraction(1), 5)
+INFINITY_FIXED = _case([1, 0, 1], [1], INFINITY, 30)
+INFINITY_TO_ZERO = _case([1], [0, 0, 1], INFINITY, 30)  # 1/x^2: inf, 0, inf
+
+
+@SETTINGS
+@given(case=map_and_point(), depth=st.integers(0, 12), seeds=st.integers(0, 12))
+@example(case=PREPERIODIC_AT_ZERO, depth=6, seeds=0)
+@example(case=HITS_ZERO, depth=6, seeds=1)
+@example(case=CAPPED, depth=12, seeds=2)
+@example(case=INFINITY_FIXED, depth=3, seeds=0)
+@example(case=INFINITY_TO_ZERO, depth=5, seeds=0)
+def test_orbit_matches_naive_loop(case, depth, seeds):
+    rmap, alpha = case
+    values, term = naive_orbit(rmap, alpha, depth)
+    for seed_values in (None, values[:seeds]):
+        records, termination = orbit(rmap, alpha, depth, seed_values=seed_values)
+        assert [r.n for r in records] == list(range(1, len(values) + 1))
+        assert [r.value for r in records] == values
+        assert (termination.kind, termination.zero_index, termination.tail,
+                termination.period) == term
+
+
+@SETTINGS
+@given(case=map_and_point(), tol=st.sampled_from([1e-1, 1e-3, 1e-6]))
+@example(case=PREPERIODIC_AT_ZERO, tol=1e-3)
+@example(case=CAPPED, tol=1e-6)
+def test_canonical_height_matches_naive_loop(case, tol):
+    rmap, alpha = case
+    c_phi, d = phi_height_bound(rmap), rmap.degree
+    target = 0
+    while _tail_radius(c_phi, d, target) > tol:
+        target += 1
+    values, repeat, capped = naive_walk(rmap, alpha, target)
+    est = canonical_height(rmap, alpha, tol=tol)
+    if repeat is not None:
+        assert (est.preperiodic, est.iterations_used, est.estimate) == (True, repeat[0], 0.0)
+        return
+    n = len(values) - 1
+    assert not est.preperiodic
+    assert (est.iterations_used, est.capped) == (n, capped)
+    assert capped or n == target
+    assert est.estimate == height_float(values[-1]) / d**n
+
+
+@SETTINGS
+@given(case=map_and_point(), max_steps=st.integers(1, 12))
+@example(case=PREPERIODIC_AT_ZERO, max_steps=5)
+@example(case=CAPPED, max_steps=12)
+def test_classify_matches_naive_loop(case, max_steps):
+    rmap, alpha = case
+    values, repeat, capped = naive_walk(rmap, alpha, max_steps)
+    cls = classify_point(rmap, alpha, max_steps=max_steps)
+    if repeat is not None:
+        n, tail = repeat
+        assert (cls.kind, cls.tail, cls.period) == ("preperiodic", tail, n - tail)
+        return
+    c_phi, d = phi_height_bound(rmap), rmap.degree
+
+    def certified(n):
+        return height_float(values[n]) / d**n > _tail_radius(c_phi, d, n)
+
+    last = len(values) - 1
+    found = next((n for n in range(1, last + 1) if certified(n)), None)
+    from_cap = found is None and capped and certified(last)
+    if from_cap:
+        found = last
+    if found is None:
+        assert cls.kind == "inconclusive" and cls.height_estimate is None
+        assert cls.note == ("size cap reached before a certificate" if capped
+                            else f"no certificate within {max_steps} steps")
+        return
+    est = cls.height_estimate
+    assert cls.kind == "wandering"
+    assert (est.iterations_used, est.capped) == (found, from_cap)
+    assert est.estimate == height_float(values[found]) / d**found
+
+
+@SETTINGS
+@given(a=st.integers(-20, 20), n=st.integers(0, 4))
+def test_critical_orbit_and_admissibility_match_naive_loop(a, n):
+    values, v = [], 0
+    for _ in range(n + 1):
+        v = v * v + a
+        values.append(v)
+    assert critical_orbit(a, n + 1) == values
+    preperiodic = len(set(values) | {0}) < len(values) + 1
+    if a == 0 or preperiodic:
+        with pytest.raises(ValueError):
+            stoll_certificate(a, n)
+    else:
+        assert stoll_certificate(a, n).critical_value == values[-1]
+
+
+def test_critical_orbit_stops_at_the_digit_cap():
+    # f^n(0) for x^2 + 2 passes 10^6 digits near n = 21
+    with pytest.raises(ResourceCapError):
+        critical_orbit(2, 40)

@@ -217,12 +217,46 @@ def test_cli_qt_field():
     assert json.loads(proc.stdout)["data"]["value"] == 5
 
 
+@pytest.mark.parametrize("F", ["x^3-t*x+1", "x^3+t^2"])
+def test_cli_roth_scan_qt_minimum_at_zero_sample(F):
+    # the minimum margin falls on the zero sample, whose argmin renders "0"
+    proc = run_cli("roth-scan", "--F", F, "--field", "qt", "--max-degree", "1",
+                   "--coeff-bound", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["argmin"] == "0"
+
+
+def test_big_integers_keep_the_interpreter_digit_guard(tmp_path):
+    # conftest lifts the guard in this process, so check in a fresh one
+    script = """
+import sys
+limit = sys.get_int_max_str_digits()
+from orbitprimes.cache import CacheEntry, OrbitCache
+big = 7 ** 6000  # 5071 digits, over the default guard of 4300
+cache = OrbitCache(sys.argv[1])
+cache.append([CacheEntry(map_hash="h", n=1, numer=-big, denom=big + 2)])
+[entry] = cache.load("h")
+assert (entry.numer, entry.denom) == (-big, big + 2)
+import orbitprimes.cli  # imports every module, reports included
+from orbitprimes import reports
+rendered = reports.rational_str(entry.value)
+assert sys.get_int_max_str_digits() == limit
+sys.set_int_max_str_digits(0)
+assert rendered == f"{-big}/{big + 2}"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-c", script,
+         str(tmp_path / "orbit.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_deterministic_output():
     a = run_cli("roth-scan", "--F", "x^3+2", "--height-bound", "12", "--samples")
     b = run_cli("roth-scan", "--F", "x^3+2", "--height-bound", "12", "--samples")
     assert a.stdout == b.stdout
-    w1 = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "7",
-                 "--workers", "1")
-    w4 = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "7",
-                 "--workers", "4")
-    assert w1.stdout == w4.stdout
+    z1 = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "7")
+    z2 = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "7")
+    assert z1.returncode == 0
+    assert z1.stdout == z2.stdout

@@ -163,15 +163,6 @@ def test_squarefree_implies_primitive(corpus_maps):
                 assert rec.has_primitive
 
 
-def test_workers_do_not_change_output():
-    m = RationalMap.parse("x^2+1")
-    a = zsigmondy_report(m, 1, depth=8, workers=1)
-    b = zsigmondy_report(m, 1, depth=8, workers=4)
-    assert [(r.n, r.primitive_part, r.squarefree_witness) for r in a.records] == [
-        (r.n, r.primitive_part, r.squarefree_witness) for r in b.records
-    ]
-
-
 def test_detector_equivalence_on_corpus(corpus_maps):
     # gcd-stripping detector vs the factorization/valuation oracle
     rng = random.Random(99)
