@@ -121,18 +121,21 @@ class GaloisTowerRecord:
 
 
 def _check_admissible(a: int, depth: int):
+    """f(0), ..., f^depth(0); a repeated value within that depth is an error
+    naming the step where it shows."""
     if a == 0:
         raise ValueError("a must be nonzero")
     walk = _critical_walk(a, depth)
     if walk.tail is not None:
         raise ValueError(
-            f"0 is preperiodic for x^2 + ({a}) within depth {depth}; "
+            f"0 is preperiodic for x^2 + ({a}) within depth {walk.tail + walk.period}; "
             "the certificate search does not apply"
         )
     return [v.numerator for v in walk.values[1:]]
 
 
-def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET) -> GaloisTowerRecord:
+def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
+                      critical_values=None) -> GaloisTowerRecord:
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
     valuation 0 at every earlier critical value.
 
@@ -140,11 +143,12 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET) -> GaloisTow
     at f^(n+1)(0): only the part of the critical value coprime to 2 and to
     the earlier values can contain a certificate, and gcd-stripping
     preserves the exponents of the surviving primes, so only that part is
-    factored.
+    factored.  `critical_values` passes f(0), ..., f^(n+1)(0) from an
+    admissible walk that was already made.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = _check_admissible(a, n + 1)
+    values = critical_values if critical_values is not None else _check_admissible(a, n + 1)
     records = [OrbitRecord(n=k, value=v) for k, v in enumerate([2] + values, start=1)]
     certificate, unresolved, fac = squarefree_primitive_prime(records, n + 2, budget=budget)
     if certificate is not None:
@@ -175,5 +179,10 @@ def _validate_certificate(p: int, values):
 
 
 def tower_report(a: int, max_level: int, budget: int = DEFAULT_BUDGET):
-    """Certificate search at every level n = 0..max_level."""
-    return [stoll_certificate(a, n, budget=budget) for n in range(max_level + 1)]
+    """Certificate search at every level n = 0..max_level, on one walk of
+    the critical orbit."""
+    if max_level < 0:
+        return []
+    values = _check_admissible(a, max_level + 1)
+    return [stoll_certificate(a, n, budget=budget, critical_values=values[: n + 1])
+            for n in range(max_level + 1)]

@@ -9,11 +9,10 @@ INFINITY sentinel.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
+from math import lcm, prod
 from typing import Optional
 
 from . import polys
@@ -226,7 +225,7 @@ class RationalMap:
         if self.resultant == 0:
             raise InvariantError("form resultant vanished for a coprime pair")
         self._iterates = [(self._p_form, self._q_form)]
-        self._lock = threading.Lock()
+        self._critical = None  # _CriticalOrbits, built on first use
 
     # -- construction -----------------------------------------------------
 
@@ -290,8 +289,8 @@ class RationalMap:
 
     # -- iterates -----------------------------------------------------------
 
-    def iterate(self, i: int) -> IterateRep:
-        """Exact homogeneous coefficient vectors of the i-th iterate (cached)."""
+    def _check_level(self, i: int):
+        """Iterate indices run from 1 and stop where d^i passes the degree cap."""
         if i < 1:
             raise ValueError("iterate index must be >= 1")
         if self.degree**i > self.iterate_degree_cap:
@@ -299,13 +298,16 @@ class RationalMap:
                 f"iterate degree {self.degree}^{i} exceeds cap {self.iterate_degree_cap}",
                 cap=self.iterate_degree_cap,
             )
-        with self._lock:
-            while len(self._iterates) < i:
-                prev_p, prev_q = self._iterates[-1]
-                new_p = self._compose_form(self._p_form, prev_p, prev_q)
-                new_q = self._compose_form(self._q_form, prev_p, prev_q)
-                self._iterates.append((tuple(new_p), tuple(new_q)))
-            p_i, q_i = self._iterates[i - 1]
+
+    def iterate(self, i: int) -> IterateRep:
+        """Exact homogeneous coefficient vectors of the i-th iterate (cached)."""
+        self._check_level(i)
+        while len(self._iterates) < i:
+            prev_p, prev_q = self._iterates[-1]
+            new_p = self._compose_form(self._p_form, prev_p, prev_q)
+            new_q = self._compose_form(self._q_form, prev_p, prev_q)
+            self._iterates.append((tuple(new_p), tuple(new_q)))
+        p_i, q_i = self._iterates[i - 1]
         return IterateRep(index=i, p_coeffs=p_i, q_coeffs=q_i)
 
     def _compose_form(self, outer, inner_p, inner_q):
@@ -459,40 +461,31 @@ class RationalMap:
     def is_power_map(self) -> bool:
         return _is_power_map(self)
 
+    def _critical_orbits(self) -> "_CriticalOrbits":
+        if self._critical is None:
+            self._critical = _CriticalOrbits(self)
+        return self._critical
+
     def preimage_count(self, beta, n: int) -> int:
         """Number of distinct points in phi^(-n)(beta) over the algebraic closure."""
-        rep = self.iterate(n)
-        a, b = point_to_pair(as_point(beta))
-        big = self.degree**n
-        w = [b * rep.p_coeffs[k] - a * rep.q_coeffs[k] for k in range(big + 1)]
-        w_poly = polys.strip([Fraction(c) for c in w])
-        if polys.is_zero(w_poly):
-            raise InvariantError("p_n and q_n proportional; invalid map state")
-        count = 0
-        if polys.degree(w_poly) >= 1:
-            count = polys.degree(polys.squarefree_part(w_poly))
-        if polys.degree(w_poly) < big:
-            count += 1  # the point at infinity
-        return count
+        self._check_level(n)
+        return sum(self._critical_orbits().fibre(as_point(beta), n).values())
 
     def ramification_profile(self, n: int) -> RamificationProfile:
-        """Multiplicities of the level-n preimages of 0, by gcd bookkeeping only."""
-        rep = self.iterate(n)
-        big = self.degree**n
-        p_poly = polys.strip([Fraction(c) for c in rep.p_coeffs])
-        inf_mult = big - polys.degree(p_poly)
-        finite = {}
-        if polys.degree(p_poly) >= 1:
-            for mult, part in polys.squarefree_decomposition(p_poly).items():
-                finite[mult] = finite.get(mult, 0) + polys.degree(part)
-        simple = finite.get(1, 0) + (1 if inf_mult == 1 else 0)
+        """Multiplicities of the level-n preimages of 0, from the critical orbits."""
+        self._check_level(n)
+        orbits = self._critical_orbits()
+        finite = dict(orbits.fibre(Fraction(0), n))
+        inf_mult = orbits.infinity_multiplicity(Fraction(0), n)
+        if inf_mult:
+            finite[inf_mult] -= 1
         profile = RamificationProfile(
             level=n,
-            finite_multiplicities=tuple(sorted(finite.items())),
+            finite_multiplicities=tuple(sorted((m, c) for m, c in finite.items() if c)),
             infinity_multiplicity=inf_mult,
-            simple_root_count=simple,
+            simple_root_count=finite.get(1, 0) + (1 if inf_mult == 1 else 0),
         )
-        if profile.total != big:
+        if profile.total != self.degree**n:
             raise InvariantError("multiplicities do not sum to d^n")
         return profile
 
@@ -552,6 +545,201 @@ def _ivec_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+class _Branch:
+    """Critical points sharing one monic square-free factor f over Q.
+
+    pairs[k] holds homogeneous coordinates of phi^k(c) for the generic root
+    c of f, as integer polynomials read in Q[x]/(f); local[k] is the
+    ramification index of phi at phi^k(c), the same at every root of f.
+    """
+
+    __slots__ = ("f", "pairs", "local")
+
+    def __init__(self, f, pairs, local):
+        self.f = f
+        self.pairs = pairs
+        self.local = local
+
+    def restrict(self, g):
+        """The same walk on the roots of a factor g of f."""
+        pairs = [_primitive_pair(polys.mod(a, g), polys.mod(b, g)) for a, b in self.pairs]
+        return _Branch(g, pairs, list(self.local))
+
+
+class _CriticalOrbits:
+    """Fibres of the iterates of a map, counted from its critical orbits.
+
+    The critical points are the roots of the Wronskian W = P_X Q_Y - P_Y Q_X
+    of the two forms; a root of multiplicity m has ramification index m + 1.
+    The local degree of phi^n at z is the product of the indices along
+    z, phi(z), ..., phi^(n-1)(z), so a fibre phi^(-n)(beta) differs from d
+    copies of phi^(-(n-1))(beta) only at the critical points c with
+    phi^n(c) = beta (Riemann-Hurwitz bookkeeping).
+
+    The finite critical points are grouped by the square-free factors f of
+    W(x, 1), and the generic root of each f is walked through phi in
+    Q[x]/(f) with homogeneous pairs, so no division is ever needed.  Q[x]/(f)
+    is a product of fields: when the element a test asks about ("does
+    phi^k(c) lie on this factor of W?", "is phi^k(c) = beta?") is a zero
+    divisor, f splits by a gcd into the roots where it vanishes and the rest
+    (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985).  The point at
+    infinity is walked alongside, critical or not, as the root of x with the
+    pair (1, 0): the multiplicity of infinity in a fibre needs its orbit.
+    Every walk and every fibre level is kept, so deeper levels extend them.
+    """
+
+    def __init__(self, rmap):
+        d = rmap.degree
+        p, q = rmap._p_form, rmap._q_form
+        # index k of a form vector is the coefficient of x^k y^(deg - k)
+        px = [k * c for k, c in enumerate(p)][1:]
+        py = [(d - k) * c for k, c in enumerate(p)][:-1]
+        qx = [k * c for k, c in enumerate(q)][1:]
+        qy = [(d - k) * c for k, c in enumerate(q)][:-1]
+        wronskian = [a - b for a, b in zip(_ivec_mul(px, qy), _ivec_mul(py, qx))]
+        w = polys.strip([Fraction(c) for c in wronskian])
+        # infinity is a root of W of multiplicity 2d - 2 - deg W(x, 1)
+        e_inf = 1 + 2 * d - 2 - polys.degree(w)
+        parts = sorted(polys.squarefree_decomposition(w).items()) if polys.degree(w) > 0 else []
+        # forms whose vanishing at phi^k(c) gives the index of phi there
+        self._tests = [(g, m + 1) for m, g in parts]
+        if e_inf > 1:
+            self._tests.append(([1, 0], e_inf))
+        self._forms = (p, q)
+        self._degree = d
+        x = [Fraction(0), Fraction(1)]
+        self._infinity = _Branch(x, [([1], [])], [])
+        self._branches = [
+            _Branch(g, [_primitive_pair(polys.mod(x, g), [1])], []) for _, g in parts
+        ]
+        self._branches.append(self._infinity)
+        self._walked = 0
+        self._fibres = {}
+
+    def fibre(self, beta, n: int) -> dict:
+        """{m: number of points of phi^(-n)(beta) where phi^n has local degree m}."""
+        levels = self._fibres.setdefault(beta, [{1: 1}])
+        while len(levels) <= n:
+            k = len(levels)
+            hist = {m: self._degree * c for m, c in levels[-1].items()}
+            for branch in self._hits(beta, k):
+                e = branch.local[0]
+                prev = prod(branch.local[1:k])
+                count = polys.degree(branch.f)
+                hist[prev] = hist.get(prev, 0) - e * count
+                hist[prev * e] = hist.get(prev * e, 0) + count
+            if any(c < 0 for c in hist.values()):
+                raise InvariantError("negative point count in a fibre")
+            levels.append({m: c for m, c in hist.items() if c})
+        return levels[n]
+
+    def infinity_multiplicity(self, beta, n: int) -> int:
+        """Local degree of phi^n at infinity if phi^n(infinity) = beta, else 0."""
+        self._walk(n)
+        at_beta, _ = _split(self._infinity, _beta_form(beta), n)
+        return prod(self._infinity.local[:n]) if at_beta else 0
+
+    def _hits(self, beta, k: int):
+        """Branches with phi^k(c) = beta, splitting the others off."""
+        self._walk(k)
+        form = _beta_form(beta)
+        hits, branches = [], []
+        for branch in self._branches:
+            at_beta, elsewhere = _split(branch, form, k)
+            if at_beta:
+                hits.append(at_beta)
+            branches += [piece for piece in (at_beta, elsewhere) if piece]
+        self._branches = branches
+        return hits
+
+    def _walk(self, n: int):
+        """Extend every branch to phi^n(c) and its indices up to phi^(n-1)(c)."""
+        if n <= self._walked:
+            return
+        walked = []
+        for branch in self._branches:
+            while len(branch.pairs) <= n:
+                values = _forms_at(self._forms, branch.pairs[-1], branch.f)
+                branch.pairs.append(_primitive_pair(*values))
+            pending = [branch]
+            while pending:
+                piece = pending.pop()
+                if len(piece.local) >= n:
+                    walked.append(piece)
+                    continue
+                for part, e in self._local_index(piece, len(piece.local)):
+                    part.local.append(e)
+                    pending.append(part)
+        self._branches = walked
+        self._walked = n
+
+    def _local_index(self, branch, k: int):
+        """[(piece, index of phi at phi^k(c))], splitting branch where it differs."""
+        out = []
+        pending = [(branch, 0)]
+        while pending:
+            piece, i = pending.pop()
+            if i == len(self._tests):
+                out.append((piece, 1))
+                continue
+            form, e = self._tests[i]
+            on_factor, off_factor = _split(piece, form, k)
+            if on_factor:
+                out.append((on_factor, e))
+            if off_factor:
+                pending.append((off_factor, i + 1))
+        return out
+
+
+def _beta_form(beta):
+    """The linear form b*X - a*Y that vanishes exactly at beta = (a : b)."""
+    a, b = point_to_pair(beta)
+    return [-a, b]
+
+
+def _forms_at(forms, pair, f):
+    """Values in Q[x]/(f) of binary forms of one degree D at a pair (A, B)."""
+    a, b = pair
+    deg = len(forms[0]) - 1
+    a_pows, b_pows = [[1]], [[1]]
+    for _ in range(deg):
+        a_pows.append(polys.mod(polys.mul(a_pows[-1], a), f))
+        b_pows.append(polys.mod(polys.mul(b_pows[-1], b), f))
+    monomials = [polys.mod(polys.mul(a_pows[k], b_pows[deg - k]), f) for k in range(deg + 1)]
+    out = []
+    for form in forms:
+        value = []
+        for c, mono in zip(form, monomials):
+            if c:
+                value = polys.add(value, polys.scale(mono, c))
+        out.append(value)
+    return out
+
+
+def _split(branch, form, k: int):
+    """(roots of f where the form vanishes at phi^k(c), the other roots), as
+    branches or None when empty: the branch whole, or split by a gcd."""
+    (h,) = _forms_at((form,), branch.pairs[k], branch.f)
+    if polys.is_zero(h):
+        return branch, None
+    g = polys.gcd(branch.f, h)
+    if polys.degree(g) == 0:
+        return None, branch
+    return branch.restrict(g), branch.restrict(polys.exact_div(branch.f, g))
+
+
+def _primitive_pair(a, b):
+    """A pair of polynomials over Q scaled to integer coefficients with
+    content 1 (the same point of P^1 over Q[x]/(f))."""
+    den = lcm(*(Fraction(c).denominator for c in a + b))
+    a = [int(c * den) for c in a]
+    b = [int(c * den) for c in b]
+    g = int_gcd(*a, *b)
+    if g == 0:
+        raise InvariantError("(0:0) reached on a critical orbit")
+    return [c // g for c in a], [c // g for c in b]
 
 
 class RationalMapFF:

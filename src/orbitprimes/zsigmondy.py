@@ -118,7 +118,6 @@ class OrbitRecord:
 
     n: int
     value: object
-    numer: object = None
     primitive_part: object = None
     has_primitive: Optional[bool] = None
     primitive_primes: Optional[tuple] = None
@@ -216,7 +215,8 @@ def primitive_prime_factors(records, n: int, budget: int = DEFAULT_BUDGET):
 
 
 def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
-                               precomputed: Optional[FactoredValue] = None):
+                               precomputed: Optional[FactoredValue] = None,
+                               part=None):
     """A primitive prime with exponent exactly 1 in the n-th numerator, or
     None, or unresolved when the primitive part resists the factoring budget.
 
@@ -225,9 +225,11 @@ def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
     full numerator; only the primitive part ever needs factoring.
 
     `precomputed` (from a cache) is used only if it reconstructs the current
-    primitive part exactly; anything else is silently refactored.
+    primitive part exactly; anything else is silently refactored.  `part`
+    passes the primitive part when it was already stripped.
     """
-    part = primitive_part(records, n)
+    if part is None:
+        part = primitive_part(records, n)
     if part == 1:
         return None, False, None
     if precomputed is not None and precomputed.reconstruct() == part:
@@ -242,11 +244,13 @@ def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
     return None, False, fac
 
 
-def squarefree_primitive_witness_ff(records, n: int):
+def squarefree_primitive_witness_ff(records, n: int, part=None):
     """Over Q(t): the product of the multiplicity-1 irreducibles of the
     primitive part (monic).  Nontrivial iff a square-free primitive prime
-    exists; no irreducible factorization is needed."""
-    part = primitive_part(records, n, domain=_PolyValues)
+    exists; no irreducible factorization is needed.  `part` passes the
+    primitive part when it was already stripped."""
+    if part is None:
+        part = primitive_part(records, n, domain=_PolyValues)
     if _PolyValues.is_unit(part):
         return None
     decomposition = polys.squarefree_decomposition(list(part))
@@ -307,12 +311,8 @@ def zsigmondy_report(
     domain = _domain_for(rmap)
     factor_cache = factor_cache or {}
     records, termination = orbit(rmap, alpha, depth, seed_values=seed_values)
-    analyzable = []
-    for rec in records:
-        if rec.value is INFINITY or _is_zero_value(rec.value):
-            continue
-        rec.numer = domain.numerator(rec.value)
-        analyzable.append(rec)
+    analyzable = [rec for rec in records
+                  if rec.value is not INFINITY and not _is_zero_value(rec.value)]
     for rec in analyzable:
         rec.primitive_part = primitive_part(records, rec.n, domain=domain)
         rec.has_primitive = not domain.is_unit(rec.primitive_part)
@@ -321,7 +321,8 @@ def zsigmondy_report(
     if domain is _IntValues:
         for rec in sf_records:
             prime, unresolved, fac = squarefree_primitive_prime(
-                records, rec.n, budget=budget, precomputed=factor_cache.get(rec.n)
+                records, rec.n, budget=budget, precomputed=factor_cache.get(rec.n),
+                part=rec.primitive_part,
             )
             rec.squarefree_witness = prime
             rec.squarefree_unresolved = unresolved
@@ -329,7 +330,7 @@ def zsigmondy_report(
             rec.factored = fac
     else:
         for rec in sf_records:
-            witness = squarefree_primitive_witness_ff(records, rec.n)
+            witness = squarefree_primitive_witness_ff(records, rec.n, part=rec.primitive_part)
             rec.squarefree_witness = witness
             rec.has_squarefree_primitive = witness is not None
 

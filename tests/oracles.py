@@ -1,10 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the code paths it is checking: the
-resultant oracle is a bare Sylvester determinant over Fractions, and the
+resultant oracle is a bare Sylvester determinant over Fractions, the
 primitive-divisor oracle works from factorizations and definitional
 valuation checks (with a gcd-splitting closure for composites the factoring
-budget cannot finish, which still yields sound verdicts).
+budget cannot finish, which still yields sound verdicts), and the fibre
+oracles read multiplicities off the expanded degree-d^n iterate with sympy's
+square-free decomposition instead of following critical orbits.
 """
 
 from fractions import Fraction
@@ -190,3 +192,50 @@ def squarefree_primitive_oracle(numerators, n, rho_steps=1 << 22):
     if leftovers:
         return None, None, False
     return False, None, True
+
+
+def _iterate_fibre_form(rmap, beta, n):
+    """Integer coefficients of b*P_n - a*Q_n for beta = (a : b), from the
+    expanded degree-d^n iterate, lowest degree first, trailing zeros dropped."""
+    from orbitprimes import INFINITY
+
+    rep = rmap.iterate(n)
+    a, b = (1, 0) if beta is INFINITY else (Fraction(beta).numerator, Fraction(beta).denominator)
+    w = [b * p - a * q for p, q in zip(rep.p_coeffs, rep.q_coeffs)]
+    while w and w[-1] == 0:
+        w.pop()
+    if not w:
+        raise AssertionError("p_n and q_n proportional")
+    return w
+
+
+def _squarefree_degrees(w):
+    """{multiplicity: total degree of the factors of w with that multiplicity},
+    from sympy's square-free decomposition over the integers."""
+    import sympy
+
+    if len(w) == 1:
+        return {}
+    x = sympy.Symbol("x")
+    out = {}
+    for part, mult in sympy.Poly(list(reversed(w)), x, domain="ZZ").sqf_list()[1]:
+        out[mult] = out.get(mult, 0) + part.degree()
+    return out
+
+
+def preimage_count_oracle(rmap, beta, n):
+    """Distinct points of phi^(-n)(beta): the roots of b*P_n - a*Q_n, plus
+    infinity when that form drops degree."""
+    w = _iterate_fibre_form(rmap, beta, n)
+    count = sum(_squarefree_degrees(w).values())
+    if len(w) - 1 < rmap.degree**n:
+        count += 1  # the point at infinity
+    return count
+
+
+def ramification_profile_oracle(rmap, n):
+    """(sorted (multiplicity, root count) pairs, multiplicity of infinity) of
+    phi^(-n)(0), from the square-free decomposition of the expanded P_n."""
+    w = _iterate_fibre_form(rmap, 0, n)
+    finite = tuple(sorted(_squarefree_degrees(w).items()))
+    return finite, rmap.degree**n - (len(w) - 1)

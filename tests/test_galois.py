@@ -121,3 +121,23 @@ def test_tower_report_guarantee_annotation():
     neg = tower_report(-5, 1)
     assert neg[1].status == "no-certificate"
     assert not neg[1].established
+
+
+def test_tower_report_walks_the_critical_orbit_once(monkeypatch):
+    from orbitprimes.maps import RationalMap
+
+    calls = []
+    evaluate = RationalMap.evaluate
+    monkeypatch.setattr(RationalMap, "evaluate",
+                        lambda self, z: calls.append(z) or evaluate(self, z))
+    records = tower_report(3, 8)
+    assert len(calls) == 9  # f(0), ..., f^9(0)
+    assert [r.critical_value for r in records] == critical_orbit(3, 9)
+
+
+def test_tower_report_names_the_first_failing_depth():
+    # 0, -1, 0: the repeat shows at step 2, where the level-1 search fails
+    with pytest.raises(ValueError, match="within depth 2;"):
+        tower_report(-1, 6)
+    with pytest.raises(ValueError, match="within depth 3;"):
+        tower_report(-2, 6)  # 0, -2, 2, 2

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from orbitprimes import (
     INFINITY,
@@ -16,7 +18,7 @@ from orbitprimes import (
 )
 from orbitprimes import polys
 from orbitprimes.ffplaces import FFElement
-from oracles import sylvester_resultant
+from oracles import preimage_count_oracle, ramification_profile_oracle, sylvester_resultant
 
 
 def random_map(rng, degree_choices=(2, 3), span=9):
@@ -291,6 +293,69 @@ def test_ramification_profiles():
         for n in (1, 2):
             prof = m.ramification_profile(n)
             assert prof.total == m.degree**n
+
+
+def _profile_pair(rmap, n):
+    prof = rmap.ramification_profile(n)
+    simple = dict(prof.finite_multiplicities).get(1, 0) + (prof.infinity_multiplicity == 1)
+    assert prof.simple_root_count == simple
+    return prof.finite_multiplicities, prof.infinity_multiplicity
+
+
+map_coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+fibre_points = st.one_of(
+    st.just(INFINITY),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(num=map_coeffs, den=map_coeffs, betas=st.lists(fibre_points, min_size=1, max_size=3))
+@example(num=[2, -3, 0, 1], den=[1], betas=[Fraction(0), Fraction(4)])  # x^3-3x+2: a split
+@example(num=[1], den=[-2, 0, 1], betas=[INFINITY, Fraction(0)])  # infinity critical, -> 0
+def test_fibres_match_the_expanded_iterate(num, den, betas):
+    """Critical-orbit profiles and preimage counts against square-free
+    decompositions of the degree-d^n iterate, for every d^n <= 256."""
+    try:
+        rmap = RationalMap(num, den)
+    except MapConstructionError:
+        assume(False)
+    fresh = RationalMap(num, den)  # no walk shared with rmap
+    n = 1
+    while rmap.degree**n <= 256:
+        assert _profile_pair(rmap, n) == ramification_profile_oracle(fresh, n)
+        for beta in betas:
+            assert rmap.preimage_count(beta, n) == preimage_count_oracle(fresh, beta, n)
+        n += 1
+
+
+def test_ramification_profile_pinned_cases():
+    # infinity is critical (index 2) and maps to 0
+    m = RationalMap.parse("1/(x^2-2)")
+    assert _profile_pair(m, 1) == ((), 2)
+    assert _profile_pair(m, 2) == (((2, 2),), 0)  # the poles, through infinity
+    assert _profile_pair(m, 3) == (((2, 4),), 0)
+    assert m.preimage_count(INFINITY, 1) == 2
+    # 0 is periodic (0 -> -1 -> 0) and critical
+    m = RationalMap.parse("x^2-1")
+    assert [_profile_pair(m, n) for n in (1, 2, 3)] == [
+        (((1, 2),), 0), (((1, 2), (2, 1)), 0), (((1, 4), (2, 2)), 0)]
+    assert m.preimage_count(0, 2) == 3
+    # the critical points +-1 are conjugate in the Wronskian's factor x^2 - 1
+    # until phi(1) = 0 and phi(-1) = 4 split it
+    m = RationalMap.parse("x^3-3x+2")
+    assert _profile_pair(m, 1) == (((1, 1), (2, 1)), 0)
+    assert _profile_pair(m, 2) == (((1, 3), (2, 3)), 0)
+    assert m.preimage_count(4, 1) == 2
+    assert m.preimage_count(Fraction(1, 2), 2) == 9
+    # (x-1)^2 at the degree cap, where 0 -> 1 -> 0 makes every level ramified
+    m = RationalMap.parse("(x-1)^2")
+    assert _profile_pair(m, 12) == (
+        ((2, 1024), (4, 256), (8, 64), (16, 16), (32, 4), (64, 2)), 0)
+    with pytest.raises(ResourceCapError):
+        m.ramification_profile(13)
+    with pytest.raises(ResourceCapError):
+        m.preimage_count(0, 13)
 
 
 def test_ramification_verdicts():

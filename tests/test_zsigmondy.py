@@ -152,6 +152,21 @@ def test_zsigmondy_report_examples():
     assert rep.notes.ramification.kind == "likely-dynamically-ramified"
 
 
+def test_report_strips_each_level_once(monkeypatch):
+    import orbitprimes.zsigmondy as zsig
+
+    calls = []
+    strip = zsig.primitive_part
+    monkeypatch.setattr(zsig, "primitive_part",
+                        lambda records, n, **kw: calls.append(n) or strip(records, n, **kw))
+    report = zsigmondy_report(RationalMap.parse("x^2+1"), 1, depth=8, squarefree_depth=7)
+    assert sorted(calls) == list(range(1, 9))
+    assert all(r.has_squarefree_primitive is not None for r in report.records[:7])
+    calls.clear()
+    zsigmondy_report(RationalMapFF.parse("x^2+t"), FFElement.gen(), depth=5, squarefree_depth=5)
+    assert sorted(calls) == list(range(1, 6))
+
+
 def test_squarefree_implies_primitive(corpus_maps):
     for m in corpus_maps:
         depth = 6 if m.degree == 2 else 4
