@@ -4,6 +4,8 @@ and gcd-free (coprime) bases.
 Factoring is budgeted and degrades gracefully: when the effort budget runs
 out, the unsplit composite is reported as an explicit cofactor instead of an
 error, so downstream verdicts can say "unresolved" rather than guess.
+`factor_engine` hands back the trial-division prime powers before any rho
+step, so a caller that needs only a small prime can stop there.
 All randomness is derived deterministically from the input, so repeated runs
 produce identical output.
 """
@@ -165,19 +167,56 @@ class FactoredValue:
 def factor(n: int, budget: int = DEFAULT_BUDGET) -> FactoredValue:
     """Factor a nonzero integer: trial division, Miller-Rabin, Brent rho.
 
-    Budget exhaustion is a data outcome (unresolved cofactor), not an error.
+    `budget` counts Brent-rho modular steps (iterations of y -> y^2 + c
+    modulo the piece being split), summed over every piece.  Budget
+    exhaustion is a data outcome (unresolved cofactor), not an error.
+    Listed exponents are exact: no listed prime divides the cofactor.
+    This is `factor_engine` run to the end.
+    """
+    engine = factor_engine(n, budget)
+    while True:
+        try:
+            next(engine)
+        except StopIteration as finished:
+            return finished.value
+
+
+def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
+    """Generator form of `factor`: yields each trial-division prime power
+    (p, e), p below 10^4, in ascending order and with its exact exponent,
+    before any rho step; returns the full FactoredValue when run to the end.
+
+    A caller that stops iterating spends no rho step.  Every prime found
+    after trial division is larger than every yielded one.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
-    powers = {}
+    small = []
     for p in _small_primes():
         if p * p > n:
             break
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                e += 1
+                n //= p
+            small.append((p, e))
+            yield p, e
+    rest = rho_factor(n, budget)
+    return FactoredValue(sign=sign, prime_powers=tuple(small) + rest.prime_powers,
+                         cofactor=rest.cofactor, certified=rest.certified)
+
+
+def rho_factor(n: int, budget: int) -> FactoredValue:
+    """Factor a positive integer by Miller-Rabin and Brent rho alone, within
+    `budget` rho steps: the stage of `factor` after trial division, whose
+    leftover is prime, 1, or free of primes below 10^4.  It is a plain
+    function, not part of the generator body, so that profiles and traces
+    charge rho time to this module rather than to whoever drives the engine.
+    """
+    powers = {}
     certified = True
     cofactors = []
     stack = [n] if n > 1 else []
@@ -197,13 +236,21 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> FactoredValue:
             continue
         stack.append(d)
         stack.append(m // d)
-    cofactor = None
-    if cofactors:
-        cofactor = 1
-        for c in cofactors:
-            cofactor *= c
+    unsplit = cofactor = math.prod(cofactors)
+    # Rho can split p off one piece and run out of budget on another that
+    # still holds p; those copies belong to p's exponent.
+    for p in powers:
+        while cofactor % p == 0:
+            cofactor //= p
+            powers[p] += 1
+    if cofactor == 1:
+        cofactor = None
+    elif cofactor != unsplit and is_probable_prime(cofactor):
+        powers[cofactor] = 1
+        certified = certified and primality_is_certified(cofactor)
+        cofactor = None
     return FactoredValue(
-        sign=sign,
+        sign=1,
         prime_powers=tuple(sorted(powers.items())),
         cofactor=cofactor,
         certified=certified,

@@ -25,7 +25,7 @@ from . import polys
 from .errors import ResourceCapError
 from .ffplaces import FFElement
 from .heights import PointClassification, classify_point, height_float
-from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, log_int
+from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine, log_int
 from .maps import INFINITY, OrbitWalk, RamificationVerdict, RationalMap, RationalMapFF, as_point
 
 DEFAULT_PRIMITIVE_DEPTH = 12
@@ -224,18 +224,32 @@ def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
     surviving primes inside the primitive part equal their exponents in the
     full numerator; only the primitive part ever needs factoring.
 
+    The factoring engine hands back its trial-division primes in ascending
+    order before any rho step, and every later prime is larger, so the first
+    exponent-1 prime among them is the answer and rho is skipped; the
+    factorization returned with it is then None, since none was completed.
+
     `precomputed` (from a cache) is used only if it reconstructs the current
-    primitive part exactly; anything else is silently refactored.  `part`
+    primitive part exactly and no listed prime divides its cofactor (an
+    under-counted exponent); anything else is silently refactored.  `part`
     passes the primitive part when it was already stripped.
     """
     if part is None:
         part = primitive_part(records, n)
     if part == 1:
         return None, False, None
-    if precomputed is not None and precomputed.reconstruct() == part:
+    if precomputed is not None and precomputed.reconstruct() == part and all(
+            (precomputed.cofactor or 1) % p for p in precomputed.primes()):
         fac = precomputed
     else:
-        fac = factor(part, budget=budget)
+        engine = factor_engine(part, budget=budget)
+        try:
+            while True:
+                p, e = next(engine)
+                if e == 1:
+                    return p, False, None
+        except StopIteration as finished:
+            fac = finished.value
     for p, e in fac.prime_powers:
         if e == 1:
             return p, False, fac

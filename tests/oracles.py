@@ -6,7 +6,9 @@ primitive-divisor oracle works from factorizations and definitional
 valuation checks (with a gcd-splitting closure for composites the factoring
 budget cannot finish, which still yields sound verdicts), and the fibre
 oracles read multiplicities off the expanded degree-d^n iterate with sympy's
-square-free decomposition instead of following critical orbits.
+square-free decomposition instead of following critical orbits.  The
+square-free rule runs the library's `factor` to the end, the path the
+early-stopping square-free search must agree with.
 """
 
 from fractions import Fraction
@@ -239,3 +241,16 @@ def ramification_profile_oracle(rmap, n):
     w = _iterate_fibre_form(rmap, 0, n)
     finite = tuple(sorted(_squarefree_degrees(w).items()))
     return finite, rmap.degree**n - (len(w) - 1)
+
+
+def squarefree_full_factor_rule(part, budget):
+    """The square-free verdict on a primitive part from `factor` run to the
+    end, with no early stop: the smallest exponent-1 prime, else unresolved
+    when a cofactor is left.  Returns (prime_or_None, unresolved)."""
+    from orbitprimes.intplaces import factor
+
+    fac = factor(part, budget=budget)
+    for p, e in fac.prime_powers:
+        if e == 1:
+            return p, False
+    return None, not fac.is_complete

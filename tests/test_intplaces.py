@@ -1,5 +1,6 @@
 """Integer places: factoring, valuations, radical mass, coprime bases."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -141,3 +142,24 @@ def test_coprime_basis_properties():
 def test_deterministic_factoring():
     n = 2**64 + 1
     assert factor(n) == factor(n)
+
+
+# p is split off by rho, then the budget runs out on p * q * r
+UNDERCOUNT_P = 93604463
+UNDERCOUNT_Q = 80852481648220942189071096236914129511269
+UNDERCOUNT_R = 2200367677
+
+
+def test_factor_exponents_exact_past_the_budget():
+    p, q, r = UNDERCOUNT_P, UNDERCOUNT_Q, UNDERCOUNT_R
+    f = factor(p * p * q * r, budget=10_000)
+    assert f.prime_powers == ((p, 2),)
+    assert f.cofactor == q * r
+    assert f.reconstruct() == p * p * q * r
+
+
+def test_factor_engine_yields_trial_division_in_order():
+    n = 2**3 * 3 * 7919**2 * 1000003 * (2**31 - 1)
+    engine = intplaces.factor_engine(n)
+    assert list(itertools.islice(engine, 3)) == [(2, 3), (3, 1), (7919, 2)]
+    assert factor(n).prime_powers == ((2, 3), (3, 1), (7919, 2), (1000003, 1), (2**31 - 1, 1))

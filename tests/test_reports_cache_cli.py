@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from orbitprimes import reports
+from orbitprimes import RationalMap, reports
 from orbitprimes.cache import CacheEntry, OrbitCache, config_hash
 from orbitprimes.errors import CacheError, InvariantError
 from orbitprimes.intplaces import FactoredValue
@@ -155,6 +155,43 @@ def test_cli_resume_byte_identical(tmp_path):
                       "--cache", cache_file)
     assert resumed.returncode == 0
     assert fresh.stdout == resumed.stdout
+
+
+def test_cli_cache_cold_warm_identical_with_early_stops(tmp_path):
+    # levels 6..8 of x^2+1 from 1 have an exponent-1 prime below 10^4, so
+    # their square-free search stops early and caches no factorization
+    cache_file = tmp_path / "orbit.jsonl"
+    args = ("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "8",
+            "--squarefree-max-n", "8", "--cache", str(cache_file))
+    cold = run_cli(*args)
+    assert cold.returncode == 0, cold.stderr
+    stored = [json.loads(line)["factor_data"] for line in cache_file.read_text().splitlines()]
+    assert stored[5:] == [None, None, None] and None not in stored[:5]
+    warm = run_cli(*args)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+
+
+def test_cli_resume_refactors_undercounted_cache(tmp_path):
+    # a factorization cached with p listed once while p still divides the
+    # cofactor reconstructs the part, but its exponent of p is wrong
+    p, q, r = 93604463, 80852481648220942189071096236914129511269, 2200367677
+    c = p * p * q * r
+    cache_file = tmp_path / "orbit.jsonl"
+    args = ("zsigmondy", "--map", f"x^2+{c}", "--alpha", "0", "--max-n", "1",
+            "--squarefree-max-n", "1", "--budget", "10000")
+    fresh = run_cli(*args)
+    assert fresh.returncode == 0, fresh.stderr
+    stale = FactoredValue(sign=1, prime_powers=((p, 1),), cofactor=p * q * r)
+    chash = config_hash("q", RationalMap.parse(f"x^2+{c}").to_string(), "0")
+    OrbitCache(str(cache_file)).append(
+        [CacheEntry(map_hash=chash, n=1, numer=c, denom=1, factored=stale)])
+    resumed = run_cli(*args, "--cache", str(cache_file))
+    assert resumed.returncode == 0, resumed.stderr
+    data = json.loads(resumed.stdout)["data"]
+    assert "squarefree_witness" not in data["records"][0]
+    assert data["squarefree_unresolved"] == [1]
+    assert resumed.stdout == fresh.stdout
 
 
 def test_cli_cache_env_dir(tmp_path):

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitprimes import intplaces
 from orbitprimes import (
     INFINITY,
     RationalMap,
@@ -16,13 +20,18 @@ from orbitprimes import (
 from orbitprimes.ffplaces import FFElement
 from orbitprimes.intplaces import valuation
 from orbitprimes.zsigmondy import (
+    OrbitRecord,
     orbit,
     primitive_part,
     primitive_prime_factors,
     squarefree_primitive_prime,
     squarefree_primitive_witness_ff,
 )
-from oracles import primitive_existence_oracle, squarefree_primitive_oracle
+from oracles import (
+    primitive_existence_oracle,
+    squarefree_full_factor_rule,
+    squarefree_primitive_oracle,
+)
 
 
 def numerators_of(records):
@@ -124,6 +133,55 @@ def test_squarefree_examples():
     assert [r.value for r in records] == [4, 9, 64]
     prime, unresolved, _ = squarefree_primitive_prime(records, 2)
     assert prime is None and not unresolved
+
+
+def test_squarefree_sees_exponents_past_the_budget():
+    # rho splits p off, then the budget runs out on p * q * r: p^2 divides
+    # the part, so p is no witness and the level stays unresolved
+    p, q, r = 93604463, 80852481648220942189071096236914129511269, 2200367677
+    records = [OrbitRecord(n=1, value=p * p * q * r)]
+    prime, unresolved, fac = squarefree_primitive_prime(records, 1, budget=10_000)
+    assert prime is None and unresolved
+    assert fac.prime_powers == ((p, 2),)
+
+
+def test_squarefree_small_witness_skips_rho(monkeypatch):
+    calls = []
+    split = intplaces._brent_split
+    monkeypatch.setattr(intplaces, "_brent_split",
+                        lambda n, budget: calls.append(n) or split(n, budget))
+    big = 1000003 * (2**31 - 1)
+    records = [OrbitRecord(n=1, value=2**2 * 3 * big)]
+    assert squarefree_primitive_prime(records, 1) == (3, False, None)
+    assert calls == []
+    # no exponent-1 prime below 10^4: rho runs and the factorization is kept
+    records = [OrbitRecord(n=1, value=3**2 * big)]
+    prime, unresolved, fac = squarefree_primitive_prime(records, 1)
+    assert (prime, unresolved) == (1000003, False)
+    assert calls and fac.reconstruct() == 3**2 * big
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 101, 7919, 9973)
+LARGE_PRIMES = tuple(sympy.nextprime(10**k) for k in (4, 5, 7, 9, 11, 13, 16, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small=st.dictionaries(st.sampled_from(SMALL_PRIMES), st.integers(1, 3), max_size=3),
+    large=st.dictionaries(st.sampled_from(LARGE_PRIMES), st.integers(1, 3), max_size=3),
+    budget=st.integers(0, 20_000),
+)
+def test_squarefree_early_stop_matches_full_factor_rule(small, large, budget):
+    part = math.prod(p**e for p, e in {**small, **large}.items())
+    prime, unresolved, fac = squarefree_primitive_prime(
+        [OrbitRecord(n=1, value=part)], 1, budget=budget)
+    assert (prime, unresolved) == squarefree_full_factor_rule(part, budget)
+    if prime is not None:
+        assert part % prime == 0 and part % (prime * prime) != 0
+    if fac is not None:
+        assert fac.reconstruct() == part
+        for p, e in fac.prime_powers:
+            assert part % p**e == 0 and part % p ** (e + 1) != 0
 
 
 def test_error_on_zero_or_infinity_level():
