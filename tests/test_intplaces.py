@@ -144,14 +144,9 @@ def test_deterministic_factoring():
     assert factor(n) == factor(n)
 
 
-# p is split off by rho, then the budget runs out on p * q * r
-UNDERCOUNT_P = 93604463
-UNDERCOUNT_Q = 80852481648220942189071096236914129511269
-UNDERCOUNT_R = 2200367677
-
-
 def test_factor_exponents_exact_past_the_budget():
-    p, q, r = UNDERCOUNT_P, UNDERCOUNT_Q, UNDERCOUNT_R
+    # rho splits p off, then the budget runs out on p * q * r
+    p, q, r = 93604463, 80852481648220942189071096236914129511269, 2200367677
     f = factor(p * p * q * r, budget=10_000)
     assert f.prime_powers == ((p, 2),)
     assert f.cofactor == q * r

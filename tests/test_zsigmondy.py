@@ -9,11 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitprimes import intplaces
 from orbitprimes import (
     INFINITY,
     RationalMap,
     RationalMapFF,
+    intplaces,
     prop_old_diagnostic,
     zsigmondy_report,
 )
