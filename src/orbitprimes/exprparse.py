@@ -30,6 +30,7 @@ from .intplaces import from_decimal
 MAX_EXPR_DEGREE = 1024
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit also takes other scripts and superscripts
 
 
 def tokenize(text):
@@ -46,16 +47,16 @@ def tokenize(text):
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", from_decimal(text[i:j]), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

@@ -17,7 +17,6 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Optional
 
-from . import polys
 from .ffplaces import FFElement, ff_height
 from .intplaces import log_fraction, log_int
 from .maps import INFINITY, OrbitWalk, RationalMap, as_point
@@ -96,34 +95,17 @@ def phi_height_bound(rmap: RationalMap) -> float:
 
         H(phi(z)) = max(|p|, |q|) / g >= H^d / W,
 
-    i.e. h(phi(z)) >= d*h(z) - log W.  The returned constant is
-    max(log max(L1(p), L1(q)), log max(W, 1)); it is an over-estimate by
+    i.e. h(phi(z)) >= d*h(z) - log W.  W (at least 1) is solved once per map
+    by `RationalMap.lower_bound_norm`, which `RationalMap.evaluate` also uses
+    to refuse a step past the digit cap before multiplying.  The returned
+    constant is max(log max(L1(p), L1(q)), log W); it is an over-estimate by
     design and equals 0 exactly for monomial maps like x^d.
     """
     cached = getattr(rmap, "_height_bound_cache", None)
     if cached is not None:
         return cached
-    d = rmap.degree
-    p = list(rmap._p_form)
-    q = list(rmap._q_form)
-    upper_arg = max(sum(abs(c) for c in p), sum(abs(c) for c in q))
-    size = 2 * d
-    matrix = [[0] * size for _ in range(size)]
-    for k in range(d):
-        for m in range(size):
-            if 0 <= m - k <= d:
-                matrix[m][k] = p[m - k]
-                matrix[m][d + k] = q[m - k]
-    res = rmap.resultant
-    w_norm = Fraction(0)
-    for target_row in (size - 1, 0):
-        rhs = [0] * size
-        rhs[target_row] = res
-        solution = polys.solve_exact(matrix, rhs)
-        norm = sum(abs(c) for c in solution)
-        w_norm = max(w_norm, norm)
-    lower_arg = max(w_norm, Fraction(1))
-    bound = max(log_fraction(Fraction(upper_arg)), log_fraction(lower_arg))
+    upper_arg = max(sum(abs(c) for c in rmap._p_form), sum(abs(c) for c in rmap._q_form))
+    bound = max(log_fraction(Fraction(upper_arg)), log_fraction(rmap.lower_bound_norm()))
     bound = max(bound, 0.0)
     rmap._height_bound_cache = bound
     return bound

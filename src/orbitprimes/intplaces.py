@@ -12,9 +12,12 @@ produce identical output.
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 from typing import Optional
 
@@ -298,34 +301,67 @@ def log_fraction(x) -> float:
     return log_int(x.numerator) - log_int(x.denominator)
 
 
-# Pieces at most this large convert with the builtins: 2000 bits is at most
-# 603 digits, below the smallest int/str digit guard the interpreter allows
-# (640), so the guard never fires and is never changed.
+# Pieces at most this large convert with str() and int(): 2000 bits is at
+# most 603 digits, below the smallest int/str digit guard the interpreter
+# allows (640), so the guard never fires and is never changed.  Decimal(int)
+# converts in binary and never meets the guard.
 _DECIMAL_PIECE_BITS = 2000
 _DECIMAL_PIECE_DIGITS = 600
+_DECIMAL_LITERAL = re.compile(r"-?[0-9]+")
+
+
+@lru_cache(maxsize=None)  # j <= 10 for values inside the default digit cap
+def _decimal_pow2(j: int) -> decimal.Decimal:
+    """Decimal(2 ** (_DECIMAL_PIECE_BITS << j)), squared up from j = 0; called
+    inside to_decimal's exact context."""
+    if j == 0:
+        return decimal.Decimal(1 << _DECIMAL_PIECE_BITS)
+    half = _decimal_pow2(j - 1)
+    return half * half
+
+
+def _as_decimal(n: int) -> decimal.Decimal:
+    """n >= 0 as hi * 2^k + lo, with k the largest piece size times a power
+    of two below the bit length of n."""
+    width = n.bit_length()
+    if width <= _DECIMAL_PIECE_BITS:
+        return decimal.Decimal(n)
+    j = ((width - 1) // _DECIMAL_PIECE_BITS).bit_length() - 1
+    k = _DECIMAL_PIECE_BITS << j
+    high = n >> k
+    return _as_decimal(high) * _decimal_pow2(j) + _as_decimal(n - (high << k))
 
 
 def to_decimal(n: int) -> str:
-    """Decimal string of an integer of any size, split at powers of ten."""
-    if n < 0:
-        return "-" + to_decimal(-n)
+    """Decimal string of an integer of any size.
+
+    Past one piece the binary halves are combined in exact `decimal`
+    arithmetic, whose multiply is subquadratic (Brent-Zimmermann, Modern
+    Computer Arithmetic, 1.7)."""
     if n.bit_length() <= _DECIMAL_PIECE_BITS:
         return str(n)
-    k = n.bit_length() * 3 // 20  # at most half the digit count
-    high, low = divmod(n, 10**k)
-    return to_decimal(high) + to_decimal(low).zfill(k)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        digits = str(_as_decimal(abs(n)))
+    return "-" + digits if n < 0 else digits
 
 
 def from_decimal(text: str) -> int:
-    """Inverse of to_decimal: an optionally signed string of decimal digits."""
-    if len(text) <= _DECIMAL_PIECE_DIGITS:
-        return int(text)
-    digits = text[1:] if text[0] == "-" else text
-    if not digits.isdigit():
+    """Inverse of to_decimal: an optional minus sign and ASCII digits."""
+    if not _DECIMAL_LITERAL.fullmatch(text):
         raise ValueError(f"invalid decimal literal of {len(text)} characters")
+    if text[0] == "-":
+        return -_from_digits(text[1:])
+    return _from_digits(text)
+
+
+def _from_digits(digits: str) -> int:
+    if len(digits) <= _DECIMAL_PIECE_DIGITS:
+        return int(digits)
     k = len(digits) // 2
-    value = from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
-    return -value if digits is not text else value
+    return _from_digits(digits[:-k]) * 10**k + _from_digits(digits[-k:])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm, prod
+from math import ceil, lcm, prod
 from typing import Optional
 
 from . import polys
@@ -72,9 +72,9 @@ def point_to_pair(z):
     return z.numerator, z.denominator
 
 
-def _digits_cap_ok(n: int, cap: int) -> bool:
+def _cap_bits(cap: int) -> int:
     # bit_length/3.3 approximates the decimal digit count closely enough
-    return n.bit_length() <= int(cap * 3.33) + 64
+    return int(cap * 3.33) + 64
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,11 @@ class RationalMap:
         self.resultant = polys.form_resultant(list(p_form), list(q_form), d)
         if self.resultant == 0:
             raise InvariantError("form resultant vanished for a coprime pair")
+        # A root (a : b) of q in lowest terms has |a|, |b| <= max |coefficient|
+        # (a divides the lowest and b the highest nonzero one), so above this
+        # height q(a, b) != 0 and evaluate reaches its cap check.
+        self._q_root_height = max(abs(c) for c in q_form)
+        self._lower_norm = None  # W of lower_bound_norm, solved on first use
         self._iterates = [(self._p_form, self._q_form)]
         self._critical = None  # _CriticalOrbits, built on first use
 
@@ -342,19 +347,63 @@ class RationalMap:
         qv = sum(c * a_pows[k] * b_pows[d - k] for k, c in enumerate(self._q_form))
         return pv, qv
 
+    def lower_bound_norm(self) -> Fraction:
+        """W >= 1 with |R| * H^d <= W * max(|p(a,b)|, |q(a,b)|) for all
+        integers a, b, where H = max(|a|, |b|) and R is the form resultant.
+
+        Solving the Sylvester-style systems (determinant +-R) gives forms u, v,
+        s, t of degree d-1 with u*p + v*q = R * x^(2d-1) and
+        s*p + t*q = R * y^(2d-1); W = max(L1(u) + L1(v), L1(s) + L1(t), 1).
+        See heights.phi_height_bound for the derivation."""
+        if self._lower_norm is None:
+            d = self.degree
+            size = 2 * d
+            matrix = [[0] * size for _ in range(size)]
+            for k in range(d):
+                for m in range(size):
+                    if 0 <= m - k <= d:
+                        matrix[m][k] = self._p_form[m - k]
+                        matrix[m][d + k] = self._q_form[m - k]
+            norm = Fraction(1)
+            for target_row in (size - 1, 0):
+                rhs = [0] * size
+                rhs[target_row] = self.resultant
+                solution = polys.solve_exact(matrix, rhs)
+                norm = max(norm, sum(abs(c) for c in solution))
+            self._lower_norm = norm
+        return self._lower_norm
+
+    def _must_pass_cap(self, a: int, b: int) -> bool:
+        """True when phi(a : b) is proved to pass the digit cap without
+        evaluating the forms: max(|p(a,b)|, |q(a,b)|) >= H^d / W."""
+        height = max(abs(a), abs(b))
+        spare = self.degree * (height.bit_length() - 1) - _cap_bits(self.digit_cap)
+        if spare <= 0 or height <= self._q_root_height:
+            return False
+        return spare > ceil(self.lower_bound_norm()).bit_length()
+
+    def _cap_error(self) -> ResourceCapError:
+        return ResourceCapError(
+            f"orbit value exceeds the {self.digit_cap}-digit cap", cap=self.digit_cap
+        )
+
     def evaluate(self, z):
-        """phi(z) in lowest terms; infinity handled homogeneously."""
+        """phi(z) in lowest terms; infinity handled homogeneously.
+
+        A step the height lower bound proves too large for the digit cap is
+        refused before the forms are evaluated."""
         z = as_point(z)
         a, b = point_to_pair(z)
+        if self._must_pass_cap(a, b):
+            raise self._cap_error()
         pv, qv = self._eval_forms(a, b)
         if qv == 0:
             if pv == 0:
                 raise InvariantError("(0:0) reached; resultant invariant violated")
             return INFINITY
-        if not (_digits_cap_ok(abs(pv), self.digit_cap) and _digits_cap_ok(abs(qv), self.digit_cap)):
-            raise ResourceCapError(
-                f"orbit value exceeds the {self.digit_cap}-digit cap", cap=self.digit_cap
-            )
+        limit = _cap_bits(self.digit_cap)
+        if abs(pv).bit_length() > limit or abs(qv).bit_length() > limit:
+            raise self._cap_error()
         return Fraction(pv, qv)
 
     def evaluate_iterate(self, z, i: int):

@@ -8,7 +8,9 @@ budget cannot finish, which still yields sound verdicts), and the fibre
 oracles read multiplicities off the expanded degree-d^n iterate with sympy's
 square-free decomposition instead of following critical orbits.  The
 square-free rule runs the library's `factor` to the end, the path the
-early-stopping square-free search must agree with.
+early-stopping square-free search must agree with.  Decimal output is split
+at powers of ten with int divmod, and map evaluation computes both forms
+before it checks the digit cap.
 """
 
 from fractions import Fraction
@@ -254,3 +256,34 @@ def squarefree_full_factor_rule(part, budget):
         if e == 1:
             return p, False
     return None, not fac.is_complete
+
+
+def to_decimal_by_powers_of_ten(n):
+    """Decimal string of n from divmod by 10^k down to pieces of at most
+    2000 bits, which str() converts under any int/str digit guard."""
+    if n < 0:
+        return "-" + to_decimal_by_powers_of_ten(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # at most half the digit count
+    high, low = divmod(n, 10**k)
+    return to_decimal_by_powers_of_ten(high) + to_decimal_by_powers_of_ten(low).zfill(k)
+
+
+def evaluate_exact(rmap, z):
+    """phi(z) from both forms evaluated at (a : b), then the digit cap on
+    the unreduced values, as `RationalMap.evaluate` did before it could
+    refuse a step from the height lower bound."""
+    from orbitprimes.errors import ResourceCapError
+    from orbitprimes.maps import INFINITY, as_point, point_to_pair
+
+    a, b = point_to_pair(as_point(z))
+    d = rmap.degree
+    pv = sum(c * a**k * b ** (d - k) for k, c in enumerate(rmap._p_form))
+    qv = sum(c * a**k * b ** (d - k) for k, c in enumerate(rmap._q_form))
+    if qv == 0:
+        return INFINITY
+    limit = int(rmap.digit_cap * 3.33) + 64
+    if max(abs(pv), abs(qv)).bit_length() > limit:
+        raise ResourceCapError("over the digit cap", cap=rmap.digit_cap)
+    return Fraction(pv, qv)

@@ -89,3 +89,16 @@ def test_rendering_round_trip():
         g = polys.gcd(num, den)
         g2 = polys.gcd(num2, den2)
         assert polys.exact_div(num, g) == polys.exact_div(num2, g2)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x^2+٣", 4),  # Arabic-Indic three, once read as 3
+    ("x^2+²", 4),  # superscript two, once an int() error with no position
+    ("x^2+1٣", 5),
+    ("x٣+1", 1),
+    ("２x^2", 0),  # fullwidth two
+])
+def test_non_ascii_digits_are_syntax_errors(text, position):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_rational_function(text)
+    assert info.value.position == position

@@ -94,6 +94,31 @@ def test_canonical_height_examples():
         canonical_height(m, 1, tol=0)
 
 
+def test_capped_canonical_height_is_pinned():
+    # values of the forms-first evaluation, which computed the refused step
+    est = canonical_height(RationalMap.parse("x^2+11"), 3, tol=1e-9)
+    assert (est.iterations_used, est.capped, est.preperiodic) == (20, True, False)
+    assert est.estimate == 1.5046564432828453
+    assert est.error_radius == 4.739583301139832e-06
+    assert est.c_phi == 2.4849066497880004
+
+
+def test_capped_step_skips_the_forms(monkeypatch):
+    calls = []
+    eval_forms = RationalMap._eval_forms
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return eval_forms(self, a, b)
+
+    monkeypatch.setattr(RationalMap, "_eval_forms", counted)
+    m = RationalMap.parse("x^2+11", digit_cap=3000)
+    est = canonical_height(m, 3, tol=1e-9)
+    assert est.capped
+    # one multiply per value of the orbit, none for the refused step
+    assert len(calls) == est.iterations_used
+
+
 def test_canonical_height_error_radius_formula():
     m = RationalMap.parse("x^2+1")
     est = canonical_height(m, 1, tol=1e-4)

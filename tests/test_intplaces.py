@@ -1,5 +1,7 @@
-"""Integer places: factoring, valuations, radical mass, coprime bases."""
+"""Integer places: factoring, valuations, radical mass, coprime bases,
+decimal input and output."""
 
+import decimal
 import itertools
 import math
 import random
@@ -7,16 +9,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitprimes import intplaces
 from orbitprimes.intplaces import (
     coprime_basis,
     factor,
+    from_decimal,
     is_probable_prime,
     log_int,
     radical_logmass,
+    to_decimal,
     valuation,
 )
+from oracles import to_decimal_by_powers_of_ten
 
 
 def test_factor_examples():
@@ -158,3 +165,48 @@ def test_factor_engine_yields_trial_division_in_order():
     engine = intplaces.factor_engine(n)
     assert list(itertools.islice(engine, 3)) == [(2, 3), (3, 1), (7919, 2)]
     assert factor(n).prime_powers == ((2, 3), (3, 1), (7919, 2), (1000003, 1), (2**31 - 1, 1))
+
+
+DECIMAL_EDGES = [0, 1, -1, -12345, 2**1999, 2**2000 - 1, -(2**2000 - 1), 2**2000, 2**2001 - 1,
+                 -(2**2000), 2**4000, 2**64000, 10**603, 10**603 - 1, 10**700, 10**700 - 1,
+                 -(10**5000), 10**5000 - 1, 10**60000, 10**60000 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(0, 332_200), seed=st.integers(0, 2**32), negative=st.booleans())
+def test_to_decimal_matches_powers_of_ten(bits, seed, negative):
+    rng = random.Random(seed)
+    n = rng.getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits
+    value = -n if negative else n
+    text = to_decimal(value)
+    assert text == to_decimal_by_powers_of_ten(value) == str(value)
+    assert from_decimal(text) == value
+
+
+def test_to_decimal_edges_and_context():
+    before = decimal.getcontext()
+    state = (before.prec, before.Emax, before.Emin, dict(before.traps), dict(before.flags))
+    for value in DECIMAL_EDGES:
+        text = to_decimal(value)
+        assert text == to_decimal_by_powers_of_ten(value) == str(value)
+        assert from_decimal(text) == value
+    after = decimal.getcontext()
+    assert after is before
+    assert (after.prec, after.Emax, after.Emin, dict(after.traps), dict(after.flags)) == state
+
+
+LONG = "1" * 700
+
+
+@pytest.mark.parametrize("short, long", [
+    ("1_000", LONG + "_000"), (" 12", " " + LONG), ("12 ", LONG + " "), ("+7", "+" + LONG),
+    ("--1", "--" + LONG), ("1-2", LONG + "-2"), ("", "-"), ("\u0663", "\u0663" * 700),
+    ("1\u0663", LONG + "\u0663"), ("\uff11\uff12", "\uff11" * 700), ("\u00b2", LONG + "\u00b2"),
+])
+def test_from_decimal_takes_ascii_digits_only(short, long):
+    # rejected both below 600 characters (int()) and above (split in pieces)
+    for literal in (short, long):
+        with pytest.raises(ValueError):
+            from_decimal(literal)
+    assert from_decimal("-" + LONG) == -int(LONG)
+    assert from_decimal("007") == 7

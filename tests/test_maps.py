@@ -18,7 +18,12 @@ from orbitprimes import (
 )
 from orbitprimes import polys
 from orbitprimes.ffplaces import FFElement
-from oracles import preimage_count_oracle, ramification_profile_oracle, sylvester_resultant
+from oracles import (
+    evaluate_exact,
+    preimage_count_oracle,
+    ramification_profile_oracle,
+    sylvester_resultant,
+)
 
 
 def random_map(rng, degree_choices=(2, 3), span=9):
@@ -174,6 +179,39 @@ def test_evaluate_always_reduced(corpus_maps):
             if v is INFINITY:
                 continue
             assert isinstance(v, Fraction)  # Fractions auto-normalize
+
+
+cap_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=4) | st.lists(
+    st.integers(-(2**45), 2**45), min_size=1, max_size=4)
+
+
+@st.composite
+def points_of_any_height(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return INFINITY
+    bits = draw(st.integers(1, 700))
+    num = draw(st.integers(2 ** (bits - 1), 2**bits)) * draw(st.sampled_from([1, -1]))
+    return Fraction(num, draw(st.integers(1, 2 ** draw(st.integers(0, bits)))))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(num=cap_coeffs, den=cap_coeffs, z=points_of_any_height(), cap=st.sampled_from([5, 30, 300]))
+@example(num=[1, 0, 1], den=[1], z=Fraction(2**100), cap=5)  # refused before the forms
+@example(num=[1, 0, 0, 1], den=[-(2**40), 1], z=Fraction(2**40), cap=5)  # a root of q: inf
+@example(num=[5, 0, 0, 7], den=[-(2**60), 1], z=Fraction(2**60), cap=5)
+@example(num=[1, 0, 1], den=[1], z=INFINITY, cap=5)
+def test_evaluate_refuses_exactly_when_the_forms_pass_the_cap(num, den, z, cap):
+    try:
+        rmap = RationalMap(num, den, digit_cap=cap)
+    except MapConstructionError:
+        assume(False)
+    try:
+        expected = evaluate_exact(rmap, z)
+    except ResourceCapError:
+        with pytest.raises(ResourceCapError, match=f"{cap}-digit cap"):
+            rmap.evaluate(z)
+    else:
+        assert rmap.evaluate(z) == expected
 
 
 # -- reduction ------------------------------------------------------------------

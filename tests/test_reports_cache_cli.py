@@ -226,6 +226,13 @@ def test_cli_exit_codes():
         assert "line" in proc.stderr
 
 
+def test_cli_rejects_non_ascii_digits():
+    # "x^2+٣" (Arabic-Indic three) used to run as x^2+3
+    proc = run_cli("zsigmondy", "--map", "x^2+\u0663", "--alpha", "1", "--max-n", "3")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "at position 4" in proc.stderr
+
+
 def test_cli_resource_cap_exit_code():
     # (x-1)^2 never produces simple roots, so the scan must reach depth 50,
     # and the iterate degree cap fires first
