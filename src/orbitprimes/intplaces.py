@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -307,7 +306,6 @@ def log_fraction(x) -> float:
 # converts in binary and never meets the guard.
 _DECIMAL_PIECE_BITS = 2000
 _DECIMAL_PIECE_DIGITS = 600
-_DECIMAL_LITERAL = re.compile(r"-?[0-9]+")
 
 
 @lru_cache(maxsize=None)  # j <= 10 for values inside the default digit cap
@@ -350,11 +348,11 @@ def to_decimal(n: int) -> str:
 
 def from_decimal(text: str) -> int:
     """Inverse of to_decimal: an optional minus sign and ASCII digits."""
-    if not _DECIMAL_LITERAL.fullmatch(text):
+    sign, digits = (-1, text[1:]) if text[:1] == "-" else (1, text)
+    # int() would also take "_", spaces, "+" and other scripts' digits
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid decimal literal of {len(text)} characters")
-    if text[0] == "-":
-        return -_from_digits(text[1:])
-    return _from_digits(text)
+    return sign * _from_digits(digits)
 
 
 def _from_digits(digits: str) -> int:

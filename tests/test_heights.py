@@ -95,7 +95,7 @@ def test_canonical_height_examples():
 
 
 def test_capped_canonical_height_is_pinned():
-    # values of the forms-first evaluation, which computed the refused step
+    # the values of the forms-first evaluation, which computed the refused step
     est = canonical_height(RationalMap.parse("x^2+11"), 3, tol=1e-9)
     assert (est.iterations_used, est.capped, est.preperiodic) == (20, True, False)
     assert est.estimate == 1.5046564432828453
