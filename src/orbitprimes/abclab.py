@@ -123,7 +123,7 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
     skipped and recorded.  The empirical constant is -min(margin).
     """
     F = _require_scan_poly(F)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
@@ -207,7 +207,7 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     g = polys.gcd(F, polys.derivative(F))
     if polys.degree(g) > 0:
         raise ValueError("F must be squarefree")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     coeff = polys.degree(F) - 2 - epsilon
     samples = []

@@ -166,7 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _budget(args):
     from .intplaces import DEFAULT_BUDGET
 
-    return args.budget if getattr(args, "budget", None) else DEFAULT_BUDGET
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise _UsageError("--budget must be >= 0")
+    return budget
 
 
 def _build_map(args):

@@ -38,7 +38,11 @@ def quadratic_iterate(a: int, m: int):
         raise ValueError("m must be >= 0")
     if m == 0:
         return [0, 1]  # x
-    return _quadratic_map(a).iterate(m).numerator_poly
+    _quadratic_map(a)._check_level(m)
+    g = [a, 0, 1]
+    for _ in range(m - 1):
+        g = polys.add(polys.mul(g, g), [a])
+    return g
 
 
 def _quadratic_map(a: int) -> RationalMap:

@@ -151,7 +151,7 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     size cap first, the best available estimate is returned with its (larger)
     radius and the capped flag set.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     c_phi = phi_height_bound(rmap)
     d = rmap.degree

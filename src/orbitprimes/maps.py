@@ -1,10 +1,10 @@
 """Rational maps of degree > 1 on the projective line, in exact arithmetic.
 
 A map is stored as an integral pair (P, Q) with coprime content and no common
-root; iterates are computed in homogeneous form, where the recursion
-p_i = p(p_{i-1}, q_{i-1}), q_i = q(p_{i-1}, q_{i-1}) is exact and the point
-at infinity needs no special cases.  Points of P^1(Q) are Fractions plus the
-INFINITY sentinel.
+root; orbits of algebraic points are walked in homogeneous form, where the
+recursion p_i = p(p_{i-1}, q_{i-1}), q_i = q(p_{i-1}, q_{i-1}) is exact and
+the point at infinity needs no special cases.  Points of P^1(Q) are
+Fractions plus the INFINITY sentinel.
 """
 
 from __future__ import annotations
@@ -75,27 +75,6 @@ def point_to_pair(z):
 def _cap_bits(cap: int) -> int:
     # bit_length/3.3 approximates the decimal digit count closely enough
     return int(cap * 3.33) + 64
-
-
-@dataclass(frozen=True)
-class IterateRep:
-    """Homogeneous coefficient vectors of the i-th iterate (degree d^i forms).
-
-    Index k of each vector is the coefficient of x^k y^(D-k); the
-    dehomogenized numerator P_i(x) reads off the same list.
-    """
-
-    index: int
-    p_coeffs: tuple
-    q_coeffs: tuple
-
-    @property
-    def numerator_poly(self):
-        return polys.strip(list(self.p_coeffs))
-
-    @property
-    def denominator_poly(self):
-        return polys.strip(list(self.q_coeffs))
 
 
 @dataclass(frozen=True)
@@ -173,7 +152,7 @@ def _fp_gcd_degree(f, g, p):
 
 
 class RationalMap:
-    """A rational function P/Q over Q of degree d > 1, with cached iterates."""
+    """A rational function P/Q over Q of degree d > 1."""
 
     def __init__(
         self,
@@ -214,7 +193,6 @@ class RationalMap:
         self.numer_coeffs = tuple(num_i)
         self.denom_coeffs = tuple(den_i)
         self.degree = d
-        self.content_normalized = True
         self.iterate_degree_cap = iterate_degree_cap
         self.digit_cap = digit_cap
         p_form = num_i + [0] * (d - polys.degree(num_i))
@@ -229,7 +207,6 @@ class RationalMap:
         # height q(a, b) != 0 and evaluate reaches its cap check.
         self._q_root_height = max(abs(c) for c in q_form)
         self._lower_norm = None  # W of lower_bound_norm, solved on first use
-        self._iterates = [(self._p_form, self._q_form)]
         self._critical = None  # _CriticalOrbits, built on first use
 
     # -- construction -----------------------------------------------------
@@ -304,35 +281,17 @@ class RationalMap:
                 cap=self.iterate_degree_cap,
             )
 
-    def iterate(self, i: int) -> IterateRep:
-        """Exact homogeneous coefficient vectors of the i-th iterate (cached)."""
-        self._check_level(i)
-        while len(self._iterates) < i:
-            prev_p, prev_q = self._iterates[-1]
-            new_p = self._compose_form(self._p_form, prev_p, prev_q)
-            new_q = self._compose_form(self._q_form, prev_p, prev_q)
-            self._iterates.append((tuple(new_p), tuple(new_q)))
-        p_i, q_i = self._iterates[i - 1]
-        return IterateRep(index=i, p_coeffs=p_i, q_coeffs=q_i)
+    def generic_orbit(self, f, n: int):
+        """Pairs (A_k, B_k), k = 0..n, for phi^k of the generic root of a
+        nonconstant f, as integer polynomials reduced mod f.
 
-    def _compose_form(self, outer, inner_p, inner_q):
-        """Evaluate a degree-d form at a pair of degree-D forms: the result is
-        the degree d*D form sum_k c_k * inner_p^k * inner_q^(d-k)."""
-        d = self.degree
-        big = d * (len(inner_p) - 1)
-        p_pows = [[1]]
-        q_pows = [[1]]
-        for _ in range(d):
-            p_pows.append(_ivec_mul(p_pows[-1], list(inner_p)))
-            q_pows.append(_ivec_mul(q_pows[-1], list(inner_q)))
-        out = [0] * (big + 1)
-        for k, c in enumerate(outer):
-            if c == 0:
-                continue
-            piece = _ivec_mul(p_pows[k], q_pows[d - k])
-            for idx, v in enumerate(piece):
-                out[idx] += c * v
-        return out
+        (A_k, B_k) = lambda_k * (P_k, Q_k) mod f for a nonzero rational
+        lambda_k, where P_k/Q_k is phi^k in homogeneous form read at y = 1;
+        this holds for any f, square-free or not.  The level is checked
+        against the degree cap before the first step."""
+        self._check_level(n)
+        f = polys.strip([Fraction(c) for c in f])
+        return _extend_orbit((self._p_form, self._q_form), f, [], n)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -404,31 +363,6 @@ class RationalMap:
         limit = _cap_bits(self.digit_cap)
         if abs(pv).bit_length() > limit or abs(qv).bit_length() > limit:
             raise self._cap_error()
-        return Fraction(pv, qv)
-
-    def evaluate_iterate(self, z, i: int):
-        """phi^i(z) straight from the cached homogeneous iterate."""
-        rep = self.iterate(i)
-        z = as_point(z)
-        a, b = point_to_pair(z)
-        big = len(rep.p_coeffs) - 1
-        pv = 0
-        qv = 0
-        apow = 1
-        # Horner-style from the top power of b down
-        bpow = [1] * (big + 1)
-        for k in range(1, big + 1):
-            bpow[k] = bpow[k - 1] * b
-        for k in range(big + 1):
-            if rep.p_coeffs[k]:
-                pv += rep.p_coeffs[k] * apow * bpow[big - k]
-            if rep.q_coeffs[k]:
-                qv += rep.q_coeffs[k] * apow * bpow[big - k]
-            apow *= a
-        if qv == 0:
-            if pv == 0:
-                raise InvariantError("(0:0) reached in iterate evaluation")
-            return INFINITY
         return Fraction(pv, qv)
 
     # -- reduction ------------------------------------------------------------
@@ -584,18 +518,6 @@ def _is_power_map(rmap) -> bool:
     return (dn, dd) in ((rmap.degree, 0), (0, rmap.degree))
 
 
-def _ivec_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 class _Branch:
     """Critical points sharing one monic square-free factor f over Q.
 
@@ -647,8 +569,8 @@ class _CriticalOrbits:
         py = [(d - k) * c for k, c in enumerate(p)][:-1]
         qx = [k * c for k, c in enumerate(q)][1:]
         qy = [(d - k) * c for k, c in enumerate(q)][:-1]
-        wronskian = [a - b for a, b in zip(_ivec_mul(px, qy), _ivec_mul(py, qx))]
-        w = polys.strip([Fraction(c) for c in wronskian])
+        wronskian = polys.sub(polys.mul(px, qy), polys.mul(py, qx))
+        w = [Fraction(c) for c in wronskian]
         # infinity is a root of W of multiplicity 2d - 2 - deg W(x, 1)
         e_inf = 1 + 2 * d - 2 - polys.degree(w)
         parts = sorted(polys.squarefree_decomposition(w).items()) if polys.degree(w) > 0 else []
@@ -660,9 +582,7 @@ class _CriticalOrbits:
         self._degree = d
         x = [Fraction(0), Fraction(1)]
         self._infinity = _Branch(x, [([1], [])], [])
-        self._branches = [
-            _Branch(g, [_primitive_pair(polys.mod(x, g), [1])], []) for _, g in parts
-        ]
+        self._branches = [_Branch(g, _extend_orbit(self._forms, g, [], 0), []) for _, g in parts]
         self._branches.append(self._infinity)
         self._walked = 0
         self._fibres = {}
@@ -709,9 +629,7 @@ class _CriticalOrbits:
             return
         walked = []
         for branch in self._branches:
-            while len(branch.pairs) <= n:
-                values = _forms_at(self._forms, branch.pairs[-1], branch.f)
-                branch.pairs.append(_primitive_pair(*values))
+            _extend_orbit(self._forms, branch.f, branch.pairs, n)
             pending = [branch]
             while pending:
                 piece = pending.pop()
@@ -746,6 +664,17 @@ def _beta_form(beta):
     """The linear form b*X - a*Y that vanishes exactly at beta = (a : b)."""
     a, b = point_to_pair(beta)
     return [-a, b]
+
+
+def _extend_orbit(forms, f, pairs, n: int):
+    """Extend pairs[k], the homogeneous coordinates of phi^k(c) for the
+    generic root c of f in Q[x]/(f), up to k = n.  An empty list starts at
+    the pair (x mod f, 1)."""
+    if not pairs:
+        pairs.append(_primitive_pair(polys.mod([0, 1], f), [1]))
+    while len(pairs) <= n:
+        pairs.append(_primitive_pair(*_forms_at(forms, pairs[-1], f)))
+    return pairs
 
 
 def _forms_at(forms, pair, f):

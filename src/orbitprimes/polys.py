@@ -37,10 +37,6 @@ def leading(p):
     return p[-1]
 
 
-def constant(p, zero=Fraction(0)):
-    return p[0] if p else zero
-
-
 def add(p, q):
     n = max(len(p), len(q))
     out = []

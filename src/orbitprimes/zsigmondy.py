@@ -30,6 +30,8 @@ from .maps import INFINITY, OrbitWalk, RamificationVerdict, RationalMap, Rationa
 
 DEFAULT_PRIMITIVE_DEPTH = 12
 DEFAULT_SQUAREFREE_DEPTH = 7
+# prop-old's periodicity screen looks for periods dividing 1..6
+PERIOD_SCREEN_BOUND = 6
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +426,17 @@ def prop_old_diagnostic(
     depth: int,
     delta: float,
     budget: int = DEFAULT_BUDGET,
-    period_screen_bound: int = 6,
 ) -> PropOldReport:
     """Mass of primes shared between F(phi^(n-i)(alpha)) and earlier orbit
     numerators, against delta * h(phi^n(alpha)), per scanned level n.
 
     F must divide the numerator of the i-th iterate exactly.  The hypothesis
     screen (roots of F non-periodic, not mapping to 0 too early) is gcd-based
-    and sound but incomplete; it is reported, not enforced.
+    and sound but incomplete; it is reported, not enforced.  All three
+    questions are read off one walk of F's generic root: with
+    (A_k, B_k) = lambda_k * (P_k, Q_k) mod F, F divides P_i iff A_i = 0 mod F,
+    a root of F hits 0 at level l iff gcd(F, A_l) != 1, and a root has period
+    dividing k iff gcd(F, A_k - x*B_k) != 1.
     """
     F = polys.strip([Fraction(c) for c in factor_poly])
     if polys.degree(F) < 1:
@@ -439,33 +444,32 @@ def prop_old_diagnostic(
     if level < 1:
         raise ValueError("level must be >= 1")
     i = level
-    rep = rmap.iterate(i)
-    p_i = [Fraction(c) for c in rep.numerator_poly]
-    quo, rem = polys.divmod_poly(p_i, F)
-    if not polys.is_zero(rem):
+    # A period screen level past the degree cap is refused, but only after
+    # the cap at level i and the divisibility of P_i, so the walk stops at i.
+    screen_cap = None
+    try:
+        for k in range(1, PERIOD_SCREEN_BOUND + 1):
+            rmap._check_level(k)
+    except ResourceCapError as exc:
+        screen_cap = exc
+    pairs = rmap.generic_orbit(F, max(i, PERIOD_SCREEN_BOUND) if screen_cap is None else i)
+    if not polys.is_zero(pairs[i][0]):
         raise ValueError("F does not divide the numerator of the i-th iterate")
+    if screen_cap is not None:
+        raise screen_cap
 
     notes = []
     ok = True
     # roots of F must not map to 0 at levels 0..i-1 (level 0 means F(0) != 0)
     for ell in range(0, i):
-        if ell == 0:
-            target = [Fraction(0), Fraction(1)]  # phi^0 numerator: x
-        else:
-            target = [Fraction(c) for c in rmap.iterate(ell).numerator_poly]
-        g = polys.gcd(F, target)
-        if polys.degree(g) > 0:
+        if polys.degree(polys.gcd(F, pairs[ell][0])) > 0:
             ok = False
             notes.append(f"a root of F hits 0 at level {ell}")
     # periodicity screen up to a bound (heuristic: periods beyond it unseen)
-    for k in range(1, period_screen_bound + 1):
-        rk = rmap.iterate(k)
-        fixed = polys.sub(
-            [Fraction(c) for c in rk.numerator_poly],
-            polys.mul([Fraction(0), Fraction(1)], [Fraction(c) for c in rk.denominator_poly]),
-        )
-        g = polys.gcd(F, fixed)
-        if polys.degree(g) > 0:
+    for k in range(1, PERIOD_SCREEN_BOUND + 1):
+        a_k, b_k = pairs[k]
+        fixed = polys.mod(polys.sub(a_k, polys.mul([0, 1], b_k)), F)
+        if polys.degree(polys.gcd(F, fixed)) > 0:
             ok = False
             notes.append(f"a root of F is periodic with period dividing {k}")
 

@@ -4,16 +4,19 @@ Everything here deliberately avoids the code paths it is checking: the
 resultant oracle is a bare Sylvester determinant over Fractions, the
 primitive-divisor oracle works from factorizations and definitional
 valuation checks (with a gcd-splitting closure for composites the factoring
-budget cannot finish, which still yields sound verdicts), and the fibre
-oracles read multiplicities off the expanded degree-d^n iterate with sympy's
-square-free decomposition instead of following critical orbits.  The
-square-free rule runs the library's `factor` to the end, the path the
-early-stopping square-free search must agree with.  Decimal output is split
+budget cannot finish, which still yields sound verdicts), iterates are
+expanded by sympy composition, and the fibre oracles read multiplicities off
+that degree-d^n iterate with sympy's square-free decomposition instead of
+following critical orbits.  The prop-old screens are sympy remainders and
+gcds on the same expansion.  The square-free rule runs the library's
+`factor` to the end, the path the early-stopping square-free search must
+agree with.  Decimal output is split
 at powers of ten with int divmod, and map evaluation computes both forms
 before it checks the digit cap.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -198,19 +201,79 @@ def squarefree_primitive_oracle(numerators, n, rho_steps=1 << 22):
     return False, None, True
 
 
+@lru_cache(maxsize=64)
+def _iterate_polys(rmap, n):
+    """sympy Polys P_n(x, 1), Q_n(x, 1), composed from level n - 1."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    if n == 0:
+        return sympy.Poly(x, x, domain="ZZ"), sympy.Poly(1, x, domain="ZZ")
+    p, q = _iterate_polys(rmap, n - 1)
+    d = rmap.degree
+    p_pows, q_pows = [p**k for k in range(d + 1)], [q**k for k in range(d + 1)]
+    out = []
+    for form in (rmap.numer_coeffs, rmap.denom_coeffs):
+        acc = sympy.Poly(0, x, domain="ZZ")
+        for k, c in enumerate(form):
+            acc += c * p_pows[k] * q_pows[d - k]
+        out.append(acc)
+    return tuple(out)
+
+
+def iterate_forms(rmap, n):
+    """Coefficients of P_n(x, 1) and Q_n(x, 1), lowest degree first and
+    padded to the nominal degree d^n, from sympy's univariate composition
+    P_n = sum_k c_k P_{n-1}^k Q_{n-1}^(d-k) (likewise Q_n), where c_k is the
+    coefficient of x^k y^(d-k) in the map's forms."""
+    out = []
+    for poly in _iterate_polys(rmap, n):
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        out.append(coeffs + [0] * (rmap.degree**n + 1 - len(coeffs)))
+    return out[0], out[1]
+
+
 def _iterate_fibre_form(rmap, beta, n):
     """Integer coefficients of b*P_n - a*Q_n for beta = (a : b), from the
     expanded degree-d^n iterate, lowest degree first, trailing zeros dropped."""
     from orbitprimes import INFINITY
 
-    rep = rmap.iterate(n)
+    p_n, q_n = iterate_forms(rmap, n)
     a, b = (1, 0) if beta is INFINITY else (Fraction(beta).numerator, Fraction(beta).denominator)
-    w = [b * p - a * q for p, q in zip(rep.p_coeffs, rep.q_coeffs)]
+    w = [b * p - a * q for p, q in zip(p_n, q_n)]
     while w and w[-1] == 0:
         w.pop()
     if not w:
         raise AssertionError("p_n and q_n proportional")
     return w
+
+
+def qq_poly(coeffs):
+    """A sympy Poly over QQ from coefficients, lowest degree first."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rationals = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in coeffs]
+    return sympy.Poly(list(reversed(rationals)) or [0], x, domain="QQ")
+
+
+def prop_old_screen_oracle(rmap, F, i):
+    """(F divides P_i, the prop-old hypothesis notes), from sympy remainders
+    and gcds on the expanded P_k, Q_k: a root of F hits 0 at level l < i when
+    gcd(F, P_l) != 1 (P_0 = x), and has a period dividing k <= 6 when
+    gcd(F, P_k - x*Q_k) != 1.  The notes are None when F does not divide P_i."""
+    F = qq_poly(F)
+    forms = [([0, 1], [1])] + [iterate_forms(rmap, k) for k in range(1, max(i, 6) + 1)]
+    P = [qq_poly(p) for p, _ in forms]
+    Q = [qq_poly(q) for _, q in forms]
+    if not P[i].rem(F).is_zero:
+        return False, None
+    x = qq_poly([0, 1])
+    notes = [f"a root of F hits 0 at level {ell}"
+             for ell in range(i) if F.gcd(P[ell]).degree() > 0]
+    notes += [f"a root of F is periodic with period dividing {k}"
+              for k in range(1, 7) if F.gcd(P[k] - x * Q[k]).degree() > 0]
+    return True, tuple(notes)
 
 
 def _squarefree_degrees(w):

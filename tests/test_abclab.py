@@ -88,6 +88,15 @@ def test_roth_scan_q_preconditions():
         roth_scan_q([2, 0, 0, 1], -1.0, 5)
 
 
+def test_roth_scans_reject_nan_epsilon():
+    # a NaN epsilon used to run the Q scan into an uncaught StopIteration
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        roth_scan_q([2, 0, 0, 1], float("nan"), 3)
+    t = FFElement.gen()
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        roth_scan_ff([t, 0, 0, 1], float("nan"))
+
+
 def test_roth_scan_q_sample_count():
     # reduced fractions with max(|p|, q) <= H, q >= 1
     report = roth_scan_q([2, 0, 0, 1], 1.0, 5)

@@ -94,6 +94,12 @@ def test_canonical_height_examples():
         canonical_height(m, 1, tol=0)
 
 
+def test_canonical_height_rejects_nan_tolerance():
+    # a NaN tolerance used to stop at N = 0 with a radius it never met
+    with pytest.raises(ValueError, match="tol must be positive"):
+        canonical_height(RationalMap.parse("x^2+1"), 3, tol=float("nan"))
+
+
 def test_capped_canonical_height_is_pinned():
     # the values of the forms-first evaluation, which computed the refused step
     est = canonical_height(RationalMap.parse("x^2+11"), 3, tol=1e-9)

@@ -16,11 +16,13 @@ from orbitprimes import (
     RationalMapFF,
     ResourceCapError,
 )
-from orbitprimes import polys
+from orbitprimes import polys, prop_old_diagnostic, quadratic_iterate
 from orbitprimes.ffplaces import FFElement
 from oracles import (
     evaluate_exact,
+    iterate_forms,
     preimage_count_oracle,
+    qq_poly,
     ramification_profile_oracle,
     sylvester_resultant,
 )
@@ -103,26 +105,30 @@ def test_canonical_string_round_trips(corpus_maps):
 
 # -- iterates ----------------------------------------------------------------
 
+def _eval_form(coeffs, a, b):
+    big = len(coeffs) - 1
+    return sum(c * a**k * b ** (big - k) for k, c in enumerate(coeffs))
+
+
 def test_iterate_examples():
     m = RationalMap.parse("x^2+1")
-    rep = m.iterate(2)
-    assert rep.numerator_poly == [2, 0, 2, 0, 1]  # x^4 + 2x^2 + 2
-    assert rep.denominator_poly == [1]
-
-    inv = RationalMap.parse("1/x^2")
-    rep = inv.iterate(2)
-    assert rep.numerator_poly == [0, 0, 0, 0, 1]  # x^4
-    assert rep.denominator_poly == [1]
-
-    rep1 = m.iterate(1)
-    assert rep1.p_coeffs == m._p_form and rep1.q_coeffs == m._q_form
+    assert iterate_forms(m, 2) == ([2, 0, 2, 0, 1], [1, 0, 0, 0, 0])  # x^4 + 2x^2 + 2
+    assert iterate_forms(RationalMap.parse("1/x^2"), 2) == ([0, 0, 0, 0, 1], [1, 0, 0, 0, 0])
+    assert iterate_forms(m, 1) == (list(m._p_form), list(m._q_form))
 
 
 def test_iterate_cap():
+    # the degree cap names the first level past it, before any walk
     m = RationalMap.parse("x^2+1", iterate_degree_cap=16)
-    m.iterate(4)
-    with pytest.raises(ResourceCapError):
-        m.iterate(5)
+    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^5 exceeds cap 16$"):
+        prop_old_diagnostic(m, 1, [1, 0, 1], 5, 6, 0.125)
+    # a non-divisor is refused before the period screen's cap
+    with pytest.raises(ValueError, match="does not divide"):
+        prop_old_diagnostic(m, 1, [1, 0, 1], 4, 6, 0.125)
+    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^5 exceeds cap 16$"):
+        prop_old_diagnostic(m, 1, [1, 0, 1], 1, 6, 0.125)
+    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^13 exceeds cap 4096$"):
+        quadratic_iterate(3, 13)
 
 
 def test_iterate_matches_repeated_evaluation(corpus_maps):
@@ -131,14 +137,13 @@ def test_iterate_matches_repeated_evaluation(corpus_maps):
     maps = [random_map(rng) for _ in range(50)]
     for m in maps:
         z = random_point(rng)
+        a, b = z.numerator, z.denominator
         direct = z
-        ok_depth = 4
-        while m.degree**ok_depth > m.iterate_degree_cap:
-            ok_depth -= 1
-        for n in range(1, ok_depth + 1):
+        for n in range(1, 5):
             direct = m.evaluate(direct)
-            via_iterate = m.evaluate_iterate(z, n)
-            assert direct == via_iterate
+            p_n, q_n = iterate_forms(m, n)
+            pv, qv = _eval_form(p_n, a, b), _eval_form(q_n, a, b)
+            assert direct == (INFINITY if qv == 0 else Fraction(pv, qv))
 
 
 def test_resultant_nonzero_and_matches_oracle(corpus_maps):
@@ -365,6 +370,41 @@ def test_fibres_match_the_expanded_iterate(num, den, betas):
         for beta in betas:
             assert rmap.preimage_count(beta, n) == preimage_count_oracle(fresh, beta, n)
         n += 1
+
+
+def _padded(coeffs, size):
+    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (size - len(coeffs))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(num=map_coeffs, den=map_coeffs, f=st.lists(st.integers(-3, 3), min_size=2, max_size=4),
+       squared=st.booleans())
+@example(num=[0, -1, 1], den=[1], f=[0, 1], squared=True)  # x^2 - x, f = x^2: 0 is fixed
+def test_generic_orbit_is_the_iterate_mod_f(num, den, f, squared):
+    """(A_k, B_k) = lambda_k * (P_k, Q_k) mod f with a nonzero rational
+    lambda_k, square-free f or not; P_k, Q_k reduced by sympy."""
+    try:
+        rmap = RationalMap(num, den)
+    except MapConstructionError:
+        assume(False)
+    f = polys.strip(f)
+    assume(len(f) > 1)
+    if squared:
+        f = polys.mul(f, f)
+    pairs = rmap.generic_orbit(f, 3)
+    assert len(pairs) == 4
+    size = len(f) - 1
+    for k, (a_k, b_k) in enumerate(pairs):
+        p_k, q_k = ([0, 1], [1]) if k == 0 else iterate_forms(rmap, k)
+        expected = []
+        for form in (p_k, q_k):
+            rem = qq_poly(form).rem(qq_poly(f)).all_coeffs()[::-1]
+            expected += _padded([Fraction(int(c.p), int(c.q)) for c in rem], size)
+        actual = _padded(a_k, size) + _padded(b_k, size)
+        j = next(j for j, c in enumerate(expected) if c)
+        scale = actual[j] / expected[j]
+        assert scale != 0
+        assert actual == [scale * c for c in expected]
 
 
 def test_ramification_profile_pinned_cases():

@@ -226,6 +226,34 @@ def test_cli_exit_codes():
         assert "line" in proc.stderr
 
 
+def test_cli_budget_zero_is_a_budget():
+    # 1000073001431003663 = 1000003 * 1000033 * 1000037 needs rho past trial
+    # division; --budget 0 used to run the default budget instead
+    args = ("abc", "--a", "1", "--b", "1000073001431003662")
+    default = json.loads(run_cli(*args).stdout)["data"]
+    zero = run_cli(*args, "--budget", "0")
+    assert zero.returncode == 0, zero.stderr
+    data = json.loads(zero.stdout)["data"]
+    assert default["rad_exact"] is True
+    assert data["rad_exact"] is False and data["quality_is_upper_bound"] is True
+
+
+def test_cli_rejects_negative_budget():
+    proc = run_cli("abc", "--a", "1", "--b", "1000073001431003662", "--budget", "-5")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --budget must be >= 0\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("canonical-height", "--map", "x^2+1", "--alpha", "3", "--tol", "nan"),
+    ("roth-scan", "--F", "x^3+2", "--height-bound", "3", "--epsilon", "nan"),
+])
+def test_cli_rejects_nan_tolerances(args):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "must be positive" in proc.stderr
+
+
 def test_cli_rejects_non_ascii_digits():
     # "x^2+٣" (Arabic-Indic three) used to run as x^2+3
     proc = run_cli("zsigmondy", "--map", "x^2+\u0663", "--alpha", "1", "--max-n", "3")

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitprimes import (
     INFINITY,
+    MapConstructionError,
     RationalMap,
     RationalMapFF,
     intplaces,
+    polys,
     prop_old_diagnostic,
     zsigmondy_report,
 )
@@ -28,7 +30,9 @@ from orbitprimes.zsigmondy import (
     squarefree_primitive_witness_ff,
 )
 from oracles import (
+    iterate_forms,
     primitive_existence_oracle,
+    prop_old_screen_oracle,
     squarefree_full_factor_rule,
     squarefree_primitive_oracle,
 )
@@ -281,8 +285,6 @@ def test_ff_power_map_analogue():
 
 
 def test_ff_witness_is_squarefree_and_new():
-    from orbitprimes import polys
-
     m = RationalMapFF.parse("x^2+t")
     records, _ = orbit(m, FFElement.gen(), 4)
     for n in range(1, 5):
@@ -345,3 +347,56 @@ def test_prop_old_hypothesis_screen_flags_periodic_roots():
     report = prop_old_diagnostic(m, 2, [0, 1], 1, 4, 0.125)
     assert not report.hypothesis_ok
     assert report.hypothesis_notes
+
+
+_SMALL_POINTS = tuple(sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)}))
+
+
+@st.composite
+def _prop_old_cases(draw):
+    """A degree-2/3 map (with or without a denominator), a level i <= 3 and
+    an F that is random, the numerator P_i itself, a product of linear
+    factors through rational points (roots of P_i where it has any), or the
+    square of such a product."""
+    d = draw(st.sampled_from((2, 3)))
+    num = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    den = draw(st.one_of(st.just([1]), st.lists(st.integers(-3, 3), min_size=1, max_size=d + 1)))
+    try:
+        rmap = RationalMap(num, den)
+    except MapConstructionError:
+        assume(False)
+    i = draw(st.integers(1, 3))
+    p_i = iterate_forms(rmap, i)[0]
+    kind = draw(st.sampled_from(("random", "numerator", "linear", "squared")))
+    if kind == "random":
+        F = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda c: c[-1]))
+    elif kind == "numerator":
+        F = p_i
+    else:
+        roots = [r for r in _SMALL_POINTS if sum(c * r**k for k, c in enumerate(p_i)) == 0]
+        points = draw(st.lists(st.sampled_from(roots or _SMALL_POINTS), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            points.append(draw(st.sampled_from(_SMALL_POINTS)))
+        F = [Fraction(1)]
+        for r in points:
+            F = polys.mul(F, [-r, Fraction(1)])
+        if kind == "squared":
+            F = polys.mul(F, F)
+    assume(len(polys.strip(F)) > 1)
+    return rmap, i, F
+
+
+@settings(max_examples=40, deadline=None)
+@given(_prop_old_cases())
+def test_prop_old_screens_match_sympy_gcds(case):
+    """The generic-root screens give the verdicts of remainders and gcds
+    against the expanded iterates, and refuse a non-divisor alike."""
+    rmap, i, F = case
+    divides, notes = prop_old_screen_oracle(rmap, F, i)
+    if not divides:
+        with pytest.raises(ValueError, match="^F does not divide the numerator of the i-th iterate$"):
+            prop_old_diagnostic(rmap, 2, F, i, 1, 0.125)
+        return
+    report = prop_old_diagnostic(rmap, 2, F, i, 1, 0.125)
+    assert report.hypothesis_notes == notes
+    assert report.hypothesis_ok == (not notes)
