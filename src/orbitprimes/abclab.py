@@ -104,14 +104,39 @@ class RothScanReport:
         return len(self.samples)
 
 
-def _require_scan_poly(F):
-    F = polys.strip([Fraction(c) for c in F])
+def _require_scan_input(F, epsilon: float):
+    """F, with coefficients already in the scan's field, stripped; refused
+    unless it is square-free of degree >= 3 and epsilon is positive."""
+    F = polys.strip(F)
     if polys.degree(F) < 3:
         raise ValueError("F must have degree >= 3")
     g = polys.gcd(F, polys.derivative(F))
     if polys.degree(g) > 0:
         raise ValueError("F must be squarefree")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     return F
+
+
+def _scan_report(field, poly_str, epsilon, description, samples, skipped, inexact):
+    """The report of a finished scan: the minimum margin, the first sample
+    that attains it, and the empirical constant -min(margin)."""
+    min_margin = min((s.margin for s in samples), default=None)
+    argmin = None
+    if min_margin is not None:
+        argmin = next(s.z for s in samples if s.margin == min_margin)
+    return RothScanReport(
+        field=field,
+        poly_str=poly_str,
+        epsilon=epsilon,
+        sample_description=description,
+        samples=tuple(samples),
+        skipped=tuple(skipped),
+        min_margin=min_margin,
+        argmin=argmin,
+        empirical_constant=None if min_margin is None else -min_margin,
+        inexact_count=inexact,
+    )
 
 
 def roth_scan_q(F, epsilon: float, height_bound: int,
@@ -122,9 +147,7 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
     F(z), margin = radsum - (deg F - 2 - epsilon) * h(z).  Roots of F are
     skipped and recorded.  The empirical constant is -min(margin).
     """
-    F = _require_scan_poly(F)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    F = _require_scan_input([Fraction(c) for c in F], epsilon)
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     coeff = polys.degree(F) - 2 - epsilon
@@ -153,22 +176,9 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
                 inexact += 1
             samples.append(RothSample(z=z, radsum=radsum, height=h,
                                       margin=margin, exact=exact))
-    min_margin = min((s.margin for s in samples), default=None)
-    argmin = None
-    if min_margin is not None:
-        argmin = next(s.z for s in samples if s.margin == min_margin)
-    return RothScanReport(
-        field="Q",
-        poly_str=polys.to_string(F),
-        epsilon=epsilon,
-        sample_description=f"all reduced p/q with max(|p|,|q|) <= {height_bound}",
-        samples=tuple(samples),
-        skipped=tuple(skipped),
-        min_margin=min_margin,
-        argmin=argmin,
-        empirical_constant=None if min_margin is None else -min_margin,
-        inexact_count=inexact,
-    )
+    return _scan_report("Q", polys.to_string(F), epsilon,
+                        f"all reduced p/q with max(|p|,|q|) <= {height_bound}",
+                        samples, skipped, inexact)
 
 
 def _ff_poly_samples(max_degree: int, coeff_bound: int):
@@ -200,15 +210,9 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     without any factorization.  Unlike the Q scan this inequality is a
     theorem, so margins here are structural data, not conjecture probes.
     """
-    F = [c if isinstance(c, FFElement) else FFElement.from_const(c) for c in F_coeffs]
-    F = polys.strip(F)
-    if polys.degree(F) < 3:
-        raise ValueError("F must have degree >= 3")
-    g = polys.gcd(F, polys.derivative(F))
-    if polys.degree(g) > 0:
-        raise ValueError("F must be squarefree")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    F = _require_scan_input(
+        [c if isinstance(c, FFElement) else FFElement.from_const(c) for c in F_coeffs], epsilon
+    )
     coeff = polys.degree(F) - 2 - epsilon
     samples = []
     skipped = []
@@ -228,10 +232,6 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
         margin = radsum - coeff * h
         samples.append(RothSample(z=tuple(z_coeffs), radsum=float(radsum),
                                   height=float(h), margin=margin, exact=True))
-    min_margin = min((s.margin for s in samples), default=None)
-    argmin = None
-    if min_margin is not None:
-        argmin = next(s.z for s in samples if s.margin == min_margin)
     poly_str_parts = []
     for k in range(polys.degree(F), -1, -1):
         c = F[k]
@@ -239,18 +239,7 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
             continue
         xpow = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
         poly_str_parts.append(f"({c})*{xpow}" if xpow else f"({c})")
-    return RothScanReport(
-        field="Q(t)",
-        poly_str=" + ".join(poly_str_parts),
-        epsilon=epsilon,
-        sample_description=(
-            f"polynomials in t of degree <= {max_degree} with integer "
-            f"coefficients in [-{coeff_bound}, {coeff_bound}]"
-        ),
-        samples=tuple(samples),
-        skipped=tuple(skipped),
-        min_margin=min_margin,
-        argmin=argmin,
-        empirical_constant=None if min_margin is None else -min_margin,
-        inexact_count=0,
-    )
+    return _scan_report("Q(t)", " + ".join(poly_str_parts), epsilon,
+                        f"polynomials in t of degree <= {max_degree} with integer "
+                        f"coefficients in [-{coeff_bound}, {coeff_bound}]",
+                        samples, skipped, 0)

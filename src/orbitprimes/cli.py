@@ -27,7 +27,15 @@ from .errors import (
 from .exprparse import parse_polynomial, parse_rational_function
 from .ffplaces import FFElement, mason_check
 from .heights import canonical_height, classify_point, weil_height
-from .maps import INFINITY, RationalMap, RationalMapFF
+from .maps import (
+    INFINITY,
+    INFINITY_SPELLINGS,
+    RationalMap,
+    RationalMapFF,
+    as_point,
+    point_str,
+    point_to_pair,
+)
 
 
 class _UsageError(Exception):
@@ -39,21 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_point(text: str):
-    text = text.strip()
-    if text in ("inf", "oo", "infinity"):
-        return INFINITY
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot parse point {text!r}: {exc}")
-
-
-def _parse_ff_point(text: str):
-    text = text.strip()
-    if text in ("inf", "oo", "infinity"):
-        return INFINITY
-    return FFElement.parse(text)
+def _parse_point(text: str, field: str):
+    """A point of P^1 over Q ("q") or Q(t) ("qt")."""
+    if field == "qt" and text.strip() not in INFINITY_SPELLINGS:
+        return FFElement.parse(text)
+    return as_point(text)
 
 
 def _parse_ff_scan_poly(text: str):
@@ -85,21 +83,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orbitprimes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_map=True, with_alpha=True):
-        if with_map:
-            p.add_argument("--map", required=True, help="rational map expression in x")
+    def common(p, with_alpha=True):
+        p.add_argument("--map", required=True, help="rational map expression in x")
         if with_alpha:
             p.add_argument("--alpha", required=True, help="starting point (rational or 'inf')")
         p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+
+    def field(p):
         p.add_argument("--field", choices=("q", "qt"), default="q")
 
     p = sub.add_parser("orbit", help="orbit values with termination reason")
     common(p)
+    field(p)
     p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
     p.add_argument("--cache", help="orbit cache file (JSON lines)")
 
     p = sub.add_parser("zsigmondy", help="primitive prime divisor scan")
     common(p)
+    field(p)
     p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
     p.add_argument("--squarefree-max-n", type=int, default=zsigmondy.DEFAULT_SQUAREFREE_DEPTH)
     p.add_argument("--budget", type=int, default=None)
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="Weil height of a point")
     p.add_argument("--point", required=True)
     p.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    p.add_argument("--field", choices=("q", "qt"), default="q")
+    field(p)
 
     p = sub.add_parser("canonical-height", help="canonical height with rigorous radius")
     common(p)
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roth-scan", help="radical lower-bound scan")
     p.add_argument("--F", required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--field", choices=("q", "qt"), default="q")
+    field(p)
     p.add_argument("--height-bound", type=int, default=100, help="H over Q")
     p.add_argument("--max-degree", type=int, default=2, help="sample degree over Q(t)")
     p.add_argument("--coeff-bound", type=int, default=2, help="sample coefficients over Q(t)")
@@ -180,21 +181,9 @@ def _build_map(args):
     return RationalMap.parse(args.map)
 
 
-def _alpha_for(args, rmap):
-    if isinstance(rmap, RationalMapFF):
-        return _parse_ff_point(args.alpha)
-    return _parse_point(args.alpha)
-
-
-def _alpha_str(alpha):
-    if alpha is INFINITY:
-        return "inf"
-    return str(alpha)
-
-
 def _run_orbit_like(args, want_zsigmondy: bool):
     rmap = _build_map(args)
-    alpha = _alpha_for(args, rmap)
+    alpha = _parse_point(args.alpha, args.field)
     seed_values = None
     factor_cache = None
     cache = None
@@ -204,7 +193,7 @@ def _run_orbit_like(args, want_zsigmondy: bool):
         if args.field == "qt":
             raise _UsageError("the orbit cache is supported over Q only")
         cache = OrbitCache(cache_path)
-        chash = config_hash(args.field, rmap.to_string(), _alpha_str(alpha))
+        chash = config_hash(args.field, rmap.to_string(), point_str(alpha))
         entries = cache.load(chash)
         seed_values = [e.value for e in entries]
         factor_cache = {e.n: e.factored for e in entries if e.factored is not None}
@@ -233,7 +222,7 @@ def _run_orbit_like(args, want_zsigmondy: bool):
         )
         report = zsigmondy.ZsigmondyReport(
             map_str=rmap.to_string(),
-            alpha_str=_alpha_str(alpha),
+            alpha_str=point_str(alpha),
             field="Q" if args.field == "q" else "Q(t)",
             depth=args.max_n,
             squarefree_depth=0,
@@ -251,11 +240,7 @@ def _run_orbit_like(args, want_zsigmondy: bool):
         for rec in report.records:
             if rec.n <= known:
                 continue
-            if rec.value is INFINITY:
-                numer, denom = 1, 0
-            else:
-                frac = Fraction(rec.value)
-                numer, denom = frac.numerator, frac.denominator
+            numer, denom = point_to_pair(rec.value)
             new_entries.append(
                 CacheEntry(
                     map_hash=chash,
@@ -276,19 +261,12 @@ def dispatch(args) -> dict:
 
     if command == "height":
         config = {"command": "height", "point": args.point, "field": args.field}
-        if args.field == "qt":
-            point = _parse_ff_point(args.point)
-            hv = weil_height(point)
-            return reports.build_height(str(point), hv, config)
-        point = _parse_point(args.point)
-        hv = weil_height(point)
-        return reports.build_height(reports.rational_str(point), hv, config)
+        point = _parse_point(args.point, args.field)
+        return reports.build_height(point_str(point), weil_height(point), config)
 
     if command == "canonical-height":
-        if args.field == "qt":
-            raise _UsageError("canonical heights are implemented over Q only")
         rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha)
+        alpha = _parse_point(args.alpha, "q")
         est = canonical_height(rmap, alpha, tol=args.tol)
         config = {
             "command": "canonical-height",
@@ -296,13 +274,11 @@ def dispatch(args) -> dict:
             "alpha": args.alpha,
             "tol": args.tol,
         }
-        return reports.build_canonical(rmap.to_string(), _alpha_str(alpha), est, config)
+        return reports.build_canonical(rmap.to_string(), point_str(alpha), est, config)
 
     if command == "classify":
-        if args.field == "qt":
-            raise _UsageError("classification is implemented over Q only")
         rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha)
+        alpha = _parse_point(args.alpha, "q")
         cls = classify_point(rmap, alpha, max_steps=args.max_steps)
         config = {
             "command": "classify",
@@ -310,11 +286,9 @@ def dispatch(args) -> dict:
             "alpha": args.alpha,
             "max_steps": args.max_steps,
         }
-        return reports.build_classify(rmap.to_string(), _alpha_str(alpha), cls, config)
+        return reports.build_classify(rmap.to_string(), point_str(alpha), cls, config)
 
     if command == "map-analyze":
-        if args.field == "qt":
-            raise _UsageError("map analysis is implemented over Q only")
         rmap = RationalMap.parse(args.map)
         bad = rmap.bad_reduction_primes(budget=_budget(args))
         verdict = rmap.dynamical_ramification_verdict(args.depth, threshold=args.threshold)
@@ -327,7 +301,7 @@ def dispatch(args) -> dict:
 
     if command == "prop-old":
         rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha)
+        alpha = _parse_point(args.alpha, "q")
         F = parse_polynomial(args.F, var="x")
         delta = float(Fraction(args.delta))
         report = zsigmondy.prop_old_diagnostic(
@@ -345,8 +319,10 @@ def dispatch(args) -> dict:
         return reports.build_prop_old(report, config)
 
     if command == "abc":
-        a = Fraction(args.a)
-        b = Fraction(args.b)
+        a = _parse_point(args.a, "q")
+        b = _parse_point(args.b, "q")
+        if a is INFINITY or b is INFINITY:
+            raise _UsageError("abc needs finite --a and --b")
         triple = abclab.abc_quality(a, b, budget=_budget(args))
         config = {"command": "abc", "a": args.a, "b": args.b}
         return reports.build_abc(triple, config)

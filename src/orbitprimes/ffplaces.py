@@ -74,10 +74,6 @@ class FFElement:
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
-    @property
-    def is_polynomial(self) -> bool:
-        return len(self.den) == 1
-
     # -- field arithmetic ------------------------------------------------------
 
     def _coerce(self, other):

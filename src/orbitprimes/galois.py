@@ -21,15 +21,11 @@ from . import polys
 from .errors import ResourceCapError
 from .intplaces import DEFAULT_BUDGET, FactoredValue
 from .maps import OrbitWalk, RationalMap
+from .polys import discriminant
 from .zsigmondy import OrbitRecord, squarefree_primitive_prime
 
-DEFAULT_LEVEL_CAP = 5
-
-
-def discriminant(g) -> Fraction:
-    """Discriminant via the resultant with the derivative."""
-    g = polys.strip([Fraction(c) for c in g])
-    return polys.discriminant(g)
+# the discriminant recursion is checked up to level 5 (degree 32)
+LEVEL_CAP = 5
 
 
 def quadratic_iterate(a: int, m: int):
@@ -83,11 +79,11 @@ class DiscRecursionCheck:
     equal: bool
 
 
-def disc_recursion_check(a: int, m: int, level_cap: int = DEFAULT_LEVEL_CAP) -> DiscRecursionCheck:
+def disc_recursion_check(a: int, m: int) -> DiscRecursionCheck:
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > level_cap:
-        raise ResourceCapError(f"level {m} exceeds cap {level_cap}", cap=level_cap)
+    if m > LEVEL_CAP:
+        raise ResourceCapError(f"level {m} exceeds cap {LEVEL_CAP}", cap=LEVEL_CAP)
     if a == 0:
         raise ValueError("a must be nonzero")
     fm = quadratic_iterate(a, m)

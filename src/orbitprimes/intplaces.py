@@ -346,6 +346,14 @@ def to_decimal(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
+def rational_to_decimal(z) -> str:
+    """A rational as "p", or "p/q" with q > 0, through to_decimal."""
+    z = Fraction(z)
+    if z.denominator == 1:
+        return to_decimal(z.numerator)
+    return f"{to_decimal(z.numerator)}/{to_decimal(z.denominator)}"
+
+
 def from_decimal(text: str) -> int:
     """Inverse of to_decimal: an optional minus sign and ASCII digits."""
     sign, digits = (-1, text[1:]) if text[:1] == "-" else (1, text)
@@ -395,9 +403,6 @@ class CoprimeBasis:
     inputs: tuple
     elements: tuple
     exponent_table: tuple  # exponent_table[i][j] = exponent of elements[j] in inputs[i]
-
-    def exponents_for(self, i: int):
-        return self.exponent_table[i]
 
 
 def coprime_basis(values) -> CoprimeBasis:

@@ -25,9 +25,9 @@ from .errors import (
 )
 from .exprparse import parse_rational_function
 from .ffplaces import FFElement
-from .intplaces import DEFAULT_BUDGET, factor
+from .intplaces import DEFAULT_BUDGET, factor, rational_to_decimal
 
-DEFAULT_ITERATE_DEGREE_CAP = 4096
+ITERATE_DEGREE_CAP = 4096
 DEFAULT_DIGIT_CAP = 10**6
 
 
@@ -51,17 +51,34 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+INFINITY_SPELLINGS = ("inf", "oo", "infinity")
+
+
 def as_point(z):
-    """Coerce int/str/Fraction into an extended rational."""
+    """Coerce int/str/Fraction into an extended rational.
+
+    A string is one of INFINITY_SPELLINGS or a constant expression of the
+    exprparse grammar (integers of any length, "/", signs, parentheses and
+    integer powers)."""
     if z is INFINITY or isinstance(z, (Fraction, FFElement)):
         return z
     if isinstance(z, int):
         return Fraction(z)
     if isinstance(z, str):
-        if z.strip() in ("inf", "oo", "infinity"):
+        if z.strip() in INFINITY_SPELLINGS:
             return INFINITY
-        return Fraction(z)
+        num, den = parse_rational_function(z, var=None)
+        return num[0] / den[0] if num else Fraction(0)
     raise TypeError(f"cannot interpret {z!r} as a point of P^1")
+
+
+def point_str(z) -> str:
+    """Inverse of as_point: "inf", a Q(t) element, or "p" / "p/q"."""
+    if z is INFINITY:
+        return "inf"
+    if isinstance(z, FFElement):
+        return str(z)
+    return rational_to_decimal(z)
 
 
 def point_to_pair(z):
@@ -158,7 +175,6 @@ class RationalMap:
         self,
         numer_coeffs,
         denom_coeffs,
-        iterate_degree_cap: int = DEFAULT_ITERATE_DEGREE_CAP,
         digit_cap: int = DEFAULT_DIGIT_CAP,
     ):
         num = polys.strip(list(numer_coeffs))
@@ -193,7 +209,6 @@ class RationalMap:
         self.numer_coeffs = tuple(num_i)
         self.denom_coeffs = tuple(den_i)
         self.degree = d
-        self.iterate_degree_cap = iterate_degree_cap
         self.digit_cap = digit_cap
         p_form = num_i + [0] * (d - polys.degree(num_i))
         q_form = den_i + [0] * (d - polys.degree(den_i))
@@ -240,14 +255,6 @@ class RationalMap:
 
     # -- basic data ---------------------------------------------------------
 
-    @property
-    def numerator_poly(self):
-        return list(self.numer_coeffs)
-
-    @property
-    def denominator_poly(self):
-        return list(self.denom_coeffs)
-
     def to_string(self) -> str:
         num = polys.to_string(list(self.numer_coeffs))
         if self.denom_coeffs == (1,):
@@ -275,10 +282,10 @@ class RationalMap:
         """Iterate indices run from 1 and stop where d^i passes the degree cap."""
         if i < 1:
             raise ValueError("iterate index must be >= 1")
-        if self.degree**i > self.iterate_degree_cap:
+        if self.degree**i > ITERATE_DEGREE_CAP:
             raise ResourceCapError(
-                f"iterate degree {self.degree}^{i} exceeds cap {self.iterate_degree_cap}",
-                cap=self.iterate_degree_cap,
+                f"iterate degree {self.degree}^{i} exceeds cap {ITERATE_DEGREE_CAP}",
+                cap=ITERATE_DEGREE_CAP,
             )
 
     def generic_orbit(self, f, n: int):
@@ -290,8 +297,7 @@ class RationalMap:
         this holds for any f, square-free or not.  The level is checked
         against the degree cap before the first step."""
         self._check_level(n)
-        f = polys.strip([Fraction(c) for c in f])
-        return _extend_orbit((self._p_form, self._q_form), f, [], n)
+        return _extend_orbit((self._p_form, self._q_form), polys.strip(f), [], n)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .intplaces import to_decimal
+from .intplaces import rational_to_decimal
 
 
 def strip(coeffs):
@@ -35,6 +35,13 @@ def is_zero(p):
 
 def leading(p):
     return p[-1]
+
+
+def _field_leading(p):
+    """leading(p) as a field element: an int becomes a Fraction, since int / int
+    would be a float."""
+    lc = p[-1]
+    return Fraction(lc) if isinstance(lc, int) else lc
 
 
 def add(p, q):
@@ -88,7 +95,7 @@ def divmod_poly(p, q):
     rem = list(p)
     quo = [q[0] * 0] * max(0, len(p) - len(q) + 1)
     dq = degree(q)
-    lc = leading(q)
+    lc = _field_leading(q)
     while len(rem) - 1 >= dq and rem:
         c = rem[-1] / lc
         k = len(rem) - 1 - dq
@@ -113,7 +120,7 @@ def exact_div(p, q):
 def monic(p):
     if is_zero(p):
         return []
-    lc = leading(p)
+    lc = _field_leading(p)
     return [a / lc for a in p]
 
 
@@ -189,7 +196,7 @@ def squarefree_part(p):
     if is_zero(p):
         raise ValueError("squarefree_part of the zero polynomial")
     if degree(p) == 0:
-        return [p[0] / p[0]]
+        return monic(p)
     g = gcd(p, derivative(p))
     return monic(exact_div(monic(p), g))
 
@@ -243,11 +250,12 @@ def discriminant(p):
     d = degree(p)
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
+    lc = _field_leading(p)
     if d == 1:
-        return p[-1] / p[-1]
+        return lc / lc
     r = resultant(p, derivative(p))
     sign = -1 if (d * (d - 1) // 2) % 2 == 1 else 1
-    return sign * r / leading(p)
+    return sign * r / lc
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +369,6 @@ def solve_exact(matrix, rhs):
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _coeff_str(c):
-    c = Fraction(c)
-    if c.denominator == 1:
-        return to_decimal(c.numerator)
-    return f"{to_decimal(c.numerator)}/{to_decimal(c.denominator)}"
-
-
 def to_string(p, var="x"):
     """Canonical descending-degree rendering, round-trippable by the parser."""
     p = strip(p)
@@ -381,15 +382,15 @@ def to_string(p, var="x"):
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
-            body = _coeff_str(mag)
+            body = rational_to_decimal(mag)
         else:
             xpow = var if k == 1 else f"{var}^{k}"
             if mag == 1:
                 body = xpow
             elif mag.denominator == 1:
-                body = f"{to_decimal(mag.numerator)}*{xpow}"
+                body = f"{rational_to_decimal(mag)}*{xpow}"
             else:
-                body = f"({_coeff_str(mag)})*{xpow}"
+                body = f"({rational_to_decimal(mag)})*{xpow}"
         terms.append((sign, body))
     first_sign, first_body = terms[0]
     out = ("-" if first_sign == "-" else "") + first_body

@@ -14,9 +14,8 @@ from importlib import resources
 
 from . import polys
 from .errors import InvariantError
-from .ffplaces import FFElement
 from .intplaces import to_decimal
-from .maps import INFINITY
+from .maps import point_str
 
 SCHEMA_VERSION = 1
 
@@ -69,38 +68,15 @@ def big(n: int) -> str:
     return to_decimal(int(n))
 
 
-def rational_str(z) -> str:
-    if z is INFINITY:
-        return "inf"
-    z = Fraction(z)
-    if z.denominator == 1:
-        return to_decimal(z.numerator)
-    return f"{to_decimal(z.numerator)}/{to_decimal(z.denominator)}"
-
-
 def value_str(v) -> str:
-    if v is INFINITY:
-        return "inf"
-    if isinstance(v, FFElement):
-        return str(v)
+    """A point (maps.point_str) or a polynomial in t given as a tuple."""
     if isinstance(v, tuple):
         return polys.to_string(list(v), var="t")
-    return rational_str(v)
+    return point_str(v)
 
 
 def poly_str(coeffs, var="x") -> str:
     return polys.to_string([Fraction(c) for c in coeffs], var=var)
-
-
-def factored_dict(fac):
-    if fac is None:
-        return None
-    return {
-        "sign": fac.sign,
-        "prime_powers": [[big(p), e] for p, e in fac.prime_powers],
-        "cofactor": None if fac.cofactor is None else big(fac.cofactor),
-        "certified": fac.certified,
-    }
 
 
 def envelope(kind: str, config: dict, data: dict) -> dict:
@@ -204,14 +180,14 @@ def build_zsigmondy(report, config) -> dict:
     return envelope("zsigmondy", config, data)
 
 
-def build_height(point_str, hv, config) -> dict:
+def build_height(point_text, hv, config) -> dict:
     data = {
-        "point": point_str,
+        "point": point_text,
         "field": hv.field,
         "value": hv.value,
     }
     if hv.log_arg is not None:
-        data["log_arg"] = rational_str(hv.log_arg)
+        data["log_arg"] = point_str(hv.log_arg)
     return envelope("height", config, data)
 
 
@@ -300,11 +276,11 @@ def build_prop_old(report, config) -> dict:
 
 def build_abc(triple, config) -> dict:
     data = {
-        "a": rational_str(triple.a),
-        "b": rational_str(triple.b),
-        "c": rational_str(triple.c),
+        "a": point_str(triple.a),
+        "b": point_str(triple.b),
+        "c": point_str(triple.c),
         "height": triple.height.value,
-        "height_arg": rational_str(triple.height.log_arg),
+        "height_arg": point_str(triple.height.log_arg),
         "rad_mass": triple.rad_mass.value,
         "rad_exact": triple.rad_mass.exact,
         "radical": big(triple.rad_mass.radical),

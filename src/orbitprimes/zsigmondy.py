@@ -26,12 +26,22 @@ from .errors import ResourceCapError
 from .ffplaces import FFElement
 from .heights import PointClassification, classify_point, height_float
 from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine, log_int
-from .maps import INFINITY, OrbitWalk, RamificationVerdict, RationalMap, RationalMapFF, as_point
+from .maps import (
+    INFINITY,
+    OrbitWalk,
+    RamificationVerdict,
+    RationalMap,
+    RationalMapFF,
+    as_point,
+    point_str,
+)
 
 DEFAULT_PRIMITIVE_DEPTH = 12
 DEFAULT_SQUAREFREE_DEPTH = 7
 # prop-old's periodicity screen looks for periods dividing 1..6
 PERIOD_SCREEN_BOUND = 6
+# depth of the ramification verdict among a Q report's hypothesis notes
+RAMIFICATION_NOTE_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +321,6 @@ def zsigmondy_report(
     depth: int = DEFAULT_PRIMITIVE_DEPTH,
     budget: int = DEFAULT_BUDGET,
     squarefree_depth: int = DEFAULT_SQUAREFREE_DEPTH,
-    ramification_depth: int = 3,
     seed_values=None,
     factor_cache=None,
 ) -> ZsigmondyReport:
@@ -360,14 +369,12 @@ def zsigmondy_report(
     if domain is _IntValues:
         classification = classify_point(rmap, alpha)
         try:
-            ramification = rmap.dynamical_ramification_verdict(ramification_depth)
+            ramification = rmap.dynamical_ramification_verdict(RAMIFICATION_NOTE_DEPTH)
         except ResourceCapError:
             ramification = None
-        alpha_str = str(Fraction(alpha)) if alpha is not INFINITY else "inf"
     else:
         classification = None
         ramification = None
-        alpha_str = str(alpha)
     notes = HypothesisNotes(
         power_map=rmap.is_power_map(),
         zero_in_orbit=zero_in_orbit,
@@ -376,7 +383,7 @@ def zsigmondy_report(
     )
     return ZsigmondyReport(
         map_str=rmap.to_string(),
-        alpha_str=alpha_str,
+        alpha_str=point_str(as_point(alpha)),
         field=domain.field,
         depth=depth,
         squarefree_depth=squarefree_depth,
@@ -538,10 +545,9 @@ def prop_old_diagnostic(
                 ratio=(mass_value / h) if h > 0 else None,
             )
         )
-    alpha_str = str(Fraction(alpha)) if alpha is not INFINITY else "inf"
     return PropOldReport(
         map_str=rmap.to_string(),
-        alpha_str=alpha_str,
+        alpha_str=point_str(alpha_pt),
         factor_poly=tuple(F),
         level=i,
         delta=delta,

@@ -18,6 +18,7 @@ from orbitprimes import (
 )
 from orbitprimes import polys, prop_old_diagnostic, quadratic_iterate
 from orbitprimes.ffplaces import FFElement
+from orbitprimes.maps import ITERATE_DEGREE_CAP
 from oracles import (
     evaluate_exact,
     iterate_forms,
@@ -119,14 +120,16 @@ def test_iterate_examples():
 
 def test_iterate_cap():
     # the degree cap names the first level past it, before any walk
-    m = RationalMap.parse("x^2+1", iterate_degree_cap=16)
-    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^5 exceeds cap 16$"):
-        prop_old_diagnostic(m, 1, [1, 0, 1], 5, 6, 0.125)
+    m = RationalMap.parse("x^2+1")
+    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^13 exceeds cap 4096$"):
+        prop_old_diagnostic(m, 1, [1, 0, 1], 13, 6, 0.125)
+    # the period screen's levels past the cap are refused after level i passes
+    quintic = RationalMap.parse("x^5+1")
+    with pytest.raises(ResourceCapError, match=r"^iterate degree 5\^6 exceeds cap 4096$"):
+        prop_old_diagnostic(quintic, 1, [1, 0, 0, 0, 0, 1], 1, 6, 0.125)
     # a non-divisor is refused before the period screen's cap
     with pytest.raises(ValueError, match="does not divide"):
-        prop_old_diagnostic(m, 1, [1, 0, 1], 4, 6, 0.125)
-    with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^5 exceeds cap 16$"):
-        prop_old_diagnostic(m, 1, [1, 0, 1], 1, 6, 0.125)
+        prop_old_diagnostic(quintic, 1, [1, 0, 1], 1, 6, 0.125)
     with pytest.raises(ResourceCapError, match=r"^iterate degree 2\^13 exceeds cap 4096$"):
         quadratic_iterate(3, 13)
 
@@ -308,12 +311,12 @@ def test_preimage_count_bounds(corpus_maps):
         for _ in range(5):
             beta = random_point(rng, span=4)
             for n in (1, 2, 3):
-                if m.degree**n > m.iterate_degree_cap:
+                if m.degree**n > ITERATE_DEGREE_CAP:
                     break
                 count = m.preimage_count(beta, n)
                 assert 0 < count <= m.degree**n
             # non-exceptional beta must have at least two third-preimages
-            if m.degree**3 <= m.iterate_degree_cap:
+            if m.degree**3 <= ITERATE_DEGREE_CAP:
                 second = m.preimage_count(beta, 2)
                 phi2 = m.evaluate(m.evaluate(beta))
                 if not (second == 1 and phi2 == beta):

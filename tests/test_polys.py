@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitprimes import polys
 from oracles import sylvester_resultant
@@ -181,3 +183,28 @@ def test_zero_polynomial_rejections():
         polys.squarefree_part([])
     with pytest.raises(ValueError):
         polys.discriminant([Fraction(3)])
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(polys.strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=int_polys, q=int_polys)
+def test_int_coefficients_divide_exactly(p, q):
+    # int / int is a float: each result must equal the same call on Fractions
+    def no_float(value):
+        assert not any(isinstance(c, float) for c in (value if isinstance(value, list) else [value]))
+        return value
+
+    fp, fq = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    assert no_float(polys.gcd(p, q)) == polys.gcd(fp, fq)
+    assert no_float(polys.resultant(p, q)) == polys.resultant(fp, fq)
+    if q:
+        assert no_float(polys.mod(p, q)) == polys.mod(fp, fq)
+        product, fproduct = polys.mul(p, q), polys.mul(fp, fq)
+        assert no_float(polys.exact_div(product, q)) == polys.exact_div(fproduct, fq)
+    if p:
+        assert no_float(polys.monic(p)) == polys.monic(fp)
+        assert no_float(polys.squarefree_part(p)) == polys.squarefree_part(fp)
+    if polys.degree(p) >= 1:
+        assert no_float(polys.discriminant(p)) == polys.discriminant(fp)

@@ -78,12 +78,16 @@ def test_big_integers_rendered_as_decimal_strings():
 def test_rational_rendering():
     from fractions import Fraction
 
-    assert reports.rational_str(Fraction(5, 3)) == "5/3"
-    assert reports.rational_str(Fraction(-5, 3)) == "-5/3"
-    assert reports.rational_str(Fraction(26)) == "26"
-    from orbitprimes.maps import INFINITY
+    from orbitprimes.ffplaces import FFElement
+    from orbitprimes.maps import INFINITY, as_point, point_str
 
-    assert reports.rational_str(INFINITY) == "inf"
+    assert point_str(Fraction(5, 3)) == "5/3"
+    assert point_str(Fraction(-5, 3)) == "-5/3"
+    assert point_str(Fraction(26)) == "26"
+    assert point_str(INFINITY) == "inf"
+    assert point_str(FFElement.parse("1/t")) == "(1)/(t)"
+    for text in ("5/3", "-5/3", "26", "inf"):
+        assert point_str(as_point(text)) == text
 
 
 # -- cache -----------------------------------------------------------------------
@@ -261,6 +265,52 @@ def test_cli_rejects_non_ascii_digits():
     assert "at position 4" in proc.stderr
 
 
+# conftest lifts the interpreter's 4300-digit int/str guard in this process
+# only; these children run with it at its default
+LONG = "9" * 4999 + "7"
+
+
+def run_guarded_cli(*args):
+    cmd = [sys.executable, "-X", "int_max_str_digits=4300", "-m", "orbitprimes.cli", *args]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_cli_reads_points_of_any_length():
+    proc = run_guarded_cli("orbit", "--map", "x^2+1", "--alpha", LONG, "--max-n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["alpha"] == LONG
+    proc = run_guarded_cli("height", "--point", f"{LONG}/3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["point"] == f"{LONG}/3"
+    proc = run_guarded_cli("height", "--point=-(2^100)")
+    assert json.loads(proc.stdout)["data"]["point"] == str(-(2**100))
+
+
+@pytest.mark.parametrize("args, position", [
+    (("orbit", "--map", "x^2+1", "--alpha", "\u0663"), 0),
+    (("height", "--point", "\u0663"), 0),
+    (("abc", "--a", "\u0663", "--b", "1"), 0),
+    (("classify", "--map", "x^2-1", "--alpha", "1_0"), 1),
+    (("height", "--point", "0.5"), 1),
+    (("height", "--point", "1e3"), 1),
+])
+def test_cli_points_are_expression_constants(args, position):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and f"at position {position}" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("abc", "--a", "inf", "--b", "1"), "error: abc needs finite --a and --b\n"),
+    # --field is offered only where Q(t) is implemented
+    (("prop-old", "--map", "x^2+1", "--alpha", "1", "--F", "x^2+1", "--i", "1",
+      "--max-n", "3", "--field", "qt"), "error: unrecognized arguments: --field qt\n"),
+])
+def test_cli_refuses_unsupported_points_and_fields(args, message):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 def test_cli_resource_cap_exit_code():
     # (x-1)^2 never produces simple roots, so the scan must reach depth 50,
     # and the iterate degree cap fires first
@@ -310,8 +360,8 @@ cache.append([CacheEntry(map_hash="h", n=1, numer=-big, denom=big + 2)])
 [entry] = cache.load("h")
 assert (entry.numer, entry.denom) == (-big, big + 2)
 import orbitprimes.cli  # imports every module, reports included
-from orbitprimes import reports
-rendered = reports.rational_str(entry.value)
+from orbitprimes.maps import point_str
+rendered = point_str(entry.value)
 assert sys.get_int_max_str_digits() == limit
 sys.set_int_max_str_digits(0)
 assert rendered == f"{-big}/{big + 2}"

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -400,3 +402,21 @@ def test_prop_old_screens_match_sympy_gcds(case):
     report = prop_old_diagnostic(rmap, 2, F, i, 1, 0.125)
     assert report.hypothesis_notes == notes
     assert report.hypothesis_ok == (not notes)
+
+
+def test_reports_render_points_past_the_digit_guard():
+    # conftest lifts the 4300-digit int/str guard here, so check in a fresh
+    # process where it is at its default
+    script = """
+from fractions import Fraction
+from orbitprimes import RationalMap, prop_old_diagnostic, zsigmondy_report
+from orbitprimes.intplaces import to_decimal
+alpha = Fraction(10**5000 + 1)
+m = RationalMap.parse("x^2+1")
+z = zsigmondy_report(m, alpha, depth=1, squarefree_depth=0)
+p = prop_old_diagnostic(m, alpha, [1, 0, 1], 1, 1, 0.125)
+assert z.alpha_str == p.alpha_str == to_decimal(10**5000 + 1)
+"""
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=4300", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

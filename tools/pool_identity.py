@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Compare two checkouts of orbitprimes on every benchmark pool candidate.
+
+    python3 tools/pool_identity.py PARENT CHANGE [WORKLOAD...]
+
+Runs each candidate command line of each workload pool in
+perfbench/workloads.py (all workloads when none is named) with
+`python -m orbitprimes.cli` from PARENT/src and from CHANGE/src.  A cache
+pair runs twice per side, cold then warm, in a fresh cache directory of its
+own.  The two sides of one command line run at the same time.  Every command
+line whose exit code, stdout or stderr differ is printed, then
+`runs=N differ=M`; the exit code is 1 when M > 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+JOB_TIMEOUT_S = 600
+
+
+def run_side(root: Path, job):
+    """(exit code, stdout, stderr) of each run of one candidate, cold then
+    warm for a cache pair."""
+    with tempfile.TemporaryDirectory(prefix="pool-identity-") as cache_dir:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   ORBITPRIMES_CACHE_DIR=cache_dir)
+        outcomes = []
+        for _ in range(2 if job.cls == "cache-pair" else 1):
+            try:
+                proc = subprocess.run([sys.executable, "-m", "orbitprimes.cli", *job.argv],
+                                      capture_output=True, env=env, cwd=root,
+                                      timeout=JOB_TIMEOUT_S)
+                outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+            except subprocess.TimeoutExpired:
+                outcomes.append(("timeout", b"", b""))
+        return outcomes
+
+
+def main(argv) -> int:
+    if len(argv) < 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    names = argv[2:] or workloads.WORKLOADS
+    runs = differ = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for name in names:
+            for jobs in workloads.pool(name).values():
+                for job in jobs:
+                    left, right = pool.map(run_side, (parent, change), (job, job))
+                    for half, (a, b) in enumerate(zip(left, right)):
+                        runs += 1
+                        if a != b:
+                            differ += 1
+                            tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
+                            print(f"differ{tag}: {job.key}", flush=True)
+    print(f"runs={runs} differ={differ}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
