@@ -50,14 +50,8 @@ def abc_quality(a, b, budget: int = DEFAULT_BUDGET) -> AbcTriple:
     c = a + b
     if c == 0:
         raise ValueError("a + b must be nonzero")
-    lcm = a.denominator * b.denominator // int_gcd(a.denominator, b.denominator)
-    lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(v * lcm) for v in (a, b, c)]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    reduced = [v // g for v in ints]
-    product = abs(reduced[0] * reduced[1] * reduced[2])
+    model_a, model_b, model_c = polys.to_integer([a, b, c])
+    product = abs(model_a * model_b * model_c)
     height = multi_height((a, b, c))
     if product == 1:
         rad = LogMass(value=0.0, exact=True, radical=1)
@@ -219,8 +213,6 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     for z_coeffs in _ff_poly_samples(max_degree, coeff_bound):
         z = FFElement(z_coeffs)
         value = polys.evaluate(F, z)
-        if not isinstance(value, FFElement):
-            value = FFElement.from_const(value)
         if value.is_zero:
             skipped.append(tuple(z_coeffs))
             continue
@@ -235,7 +227,7 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     poly_str_parts = []
     for k in range(polys.degree(F), -1, -1):
         c = F[k]
-        if isinstance(c, FFElement) and c.is_zero:
+        if c.is_zero:
             continue
         xpow = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
         poly_str_parts.append(f"({c})*{xpow}" if xpow else f"({c})")

@@ -216,28 +216,19 @@ def _run_orbit_like(args, want_zsigmondy: bool):
         )
         config["squarefree_max_n"] = args.squarefree_max_n
         built = reports.build_zsigmondy(report, config)
+        records = report.records
     else:
         records, termination = zsigmondy.orbit(
             rmap, alpha, args.max_n, seed_values=seed_values
         )
-        report = zsigmondy.ZsigmondyReport(
-            map_str=rmap.to_string(),
-            alpha_str=point_str(alpha),
-            field="Q" if args.field == "q" else "Q(t)",
-            depth=args.max_n,
-            squarefree_depth=0,
-            records=records,
-            zsigmondy_set=(),
-            squarefree_zsigmondy_set=(),
-            squarefree_unresolved=(),
-            termination=termination,
-            notes=None,
+        field = "Q" if args.field == "q" else "Q(t)"
+        built = reports.build_orbit(
+            rmap.to_string(), point_str(alpha), field, records, termination, config
         )
-        built = reports.build_orbit(report, config)
     if cache is not None:
         known = len(seed_values or [])
         new_entries = []
-        for rec in report.records:
+        for rec in records:
             if rec.n <= known:
                 continue
             numer, denom = point_to_pair(rec.value)
@@ -247,7 +238,7 @@ def _run_orbit_like(args, want_zsigmondy: bool):
                     n=rec.n,
                     numer=numer,
                     denom=denom,
-                    factored=getattr(rec, "factored", None),
+                    factored=rec.factored,
                 )
             )
         cache.append(new_entries)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import ExprSyntaxError, ResourceCapError
-from .intplaces import from_decimal
+from .intplaces import DEFAULT_DIGIT_CAP, _cap_bits, from_decimal
 
 MAX_EXPR_DEGREE = 1024
 
@@ -130,12 +130,29 @@ class _Parser:
             _RF(polys.mul(a.num, b.den), polys.mul(a.den, b.num)), position
         )
 
+    def _check_literal_power(self, a, k, position):
+        """Refuse a rational constant to the k-th power before multiplying when
+        k * (bit_length(h) - 1), a lower bound on the bits of h^k for
+        h = max(|p|, |q|), passes the digit cap."""
+        if len(a.num) != 1 or len(a.den) != 1:
+            return
+        if not all(isinstance(c, (int, Fraction)) for c in (a.num[0], a.den[0])):
+            return
+        base = Fraction(a.num[0]) / a.den[0]
+        h = max(abs(base.numerator), base.denominator)
+        if k * (h.bit_length() - 1) > _cap_bits(DEFAULT_DIGIT_CAP):
+            raise ResourceCapError(
+                f"power literal exceeds the {DEFAULT_DIGIT_CAP}-digit cap near position {position}",
+                cap=DEFAULT_DIGIT_CAP,
+            )
+
     def _pow(self, a, k, position):
         if k < 0:
             if polys.is_zero(a.num):
                 raise ExprSyntaxError("zero raised to a negative power", position)
             a = _RF(a.den, a.num)
             k = -k
+        self._check_literal_power(a, k, position)
         num, den = [self.one], [self.one]
         base_n, base_d = a.num, a.den
         while k:

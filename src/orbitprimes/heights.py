@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
 from typing import Optional
 
+from . import polys
 from .ffplaces import FFElement, ff_height
 from .intplaces import log_fraction, log_int
 from .maps import INFINITY, OrbitWalk, RationalMap, as_point
@@ -68,9 +68,7 @@ def multi_height(values) -> HeightValue:
     vals = [Fraction(v) for v in values]
     if not vals or all(v == 0 for v in vals):
         raise ValueError("multi_height needs a tuple with a nonzero entry")
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [int(v * scale) for v in vals]
-    arg = Fraction(max(abs(a) for a in ints), gcd(*ints))
+    arg = Fraction(max(abs(a) for a in polys.to_integer(vals)))
     return HeightValue(value=log_fraction(arg), field="Q", log_arg=arg)
 
 
@@ -101,14 +99,8 @@ def phi_height_bound(rmap: RationalMap) -> float:
     constant is max(log max(L1(p), L1(q)), log W); it is an over-estimate by
     design and equals 0 exactly for monomial maps like x^d.
     """
-    cached = getattr(rmap, "_height_bound_cache", None)
-    if cached is not None:
-        return cached
     upper_arg = max(sum(abs(c) for c in rmap._p_form), sum(abs(c) for c in rmap._q_form))
-    bound = max(log_fraction(Fraction(upper_arg)), log_fraction(rmap.lower_bound_norm()))
-    bound = max(bound, 0.0)
-    rmap._height_bound_cache = bound
-    return bound
+    return max(log_fraction(Fraction(upper_arg)), log_fraction(rmap.lower_bound_norm()), 0.0)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from math import gcd as int_gcd
 from typing import Optional
 
 DEFAULT_BUDGET = 2_000_000
+# digits allowed in an exact value: orbit values and constant power literals
+DEFAULT_DIGIT_CAP = 10**6
 _TRIAL_BOUND = 10_000
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
@@ -159,12 +161,6 @@ class FactoredValue:
     def primes(self):
         return [p for p, _ in self.prime_powers]
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.prime_powers:
-            if q == p:
-                return e
-        return 0
-
 
 def factor(n: int, budget: int = DEFAULT_BUDGET) -> FactoredValue:
     """Factor a nonzero integer: trial division, Miller-Rabin, Brent rho.
@@ -298,6 +294,11 @@ def log_fraction(x) -> float:
     if x <= 0:
         raise ValueError("log_fraction needs a positive rational")
     return log_int(x.numerator) - log_int(x.denominator)
+
+
+def _cap_bits(cap: int) -> int:
+    # bit_length/3.3 approximates the decimal digit count closely enough
+    return int(cap * 3.33) + 64
 
 
 # Pieces at most this large convert with str() and int(): 2000 bits is at

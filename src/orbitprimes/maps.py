@@ -11,24 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
-from math import ceil, lcm, prod
+from math import ceil, prod
 from typing import Optional
 
 from . import polys
 from .errors import (
     BadPrimeError,
-    ExprSyntaxError,
     InvariantError,
     MapConstructionError,
     ResourceCapError,
 )
 from .exprparse import parse_rational_function
 from .ffplaces import FFElement
-from .intplaces import DEFAULT_BUDGET, factor, rational_to_decimal
+from .intplaces import (
+    DEFAULT_BUDGET,
+    DEFAULT_DIGIT_CAP,
+    _cap_bits,
+    factor,
+    rational_to_decimal,
+)
 
 ITERATE_DEGREE_CAP = 4096
-DEFAULT_DIGIT_CAP = 10**6
 
 
 class _Infinity:
@@ -89,11 +92,6 @@ def point_to_pair(z):
     return z.numerator, z.denominator
 
 
-def _cap_bits(cap: int) -> int:
-    # bit_length/3.3 approximates the decimal digit count closely enough
-    return int(cap * 3.33) + 64
-
-
 @dataclass(frozen=True)
 class ResidueCycle:
     prime: int
@@ -132,7 +130,7 @@ class RamificationVerdict:
 
 @dataclass(frozen=True)
 class BadReduction:
-    """Primes failing the two-condition good-reduction test.
+    """Primes of bad reduction: the primes dividing the form resultant.
 
     When the resultant resists factoring within budget, `unresolved_cofactor`
     holds the unfactored part: primes dividing it are undetermined.
@@ -145,27 +143,6 @@ class BadReduction:
     @property
     def complete(self) -> bool:
         return self.unresolved_cofactor is None
-
-
-def _fp_poly(coeffs, p):
-    return polys.strip([c % p for c in coeffs])
-
-
-def _fp_gcd_degree(f, g, p):
-    """Degree of gcd of two polynomials over F_p (zero poly convention)."""
-    a, b = list(f), list(g)
-    while b:
-        # remainder of a by b over F_p
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            k = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[k + i] = (a[k + i] - c * bc) % p
-            while a and a[-1] % p == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1 if a else None  # None: gcd is the zero polynomial
 
 
 class RationalMap:
@@ -183,15 +160,9 @@ class RationalMap:
             raise MapConstructionError("denominator is zero")
         if polys.is_zero(num):
             raise MapConstructionError("numerator is zero (the map must be nonconstant)")
-        num_q = [Fraction(c) for c in num]
-        den_q = [Fraction(c) for c in den]
         # integral model with joint content 1
-        scale = lcm(*(c.denominator for c in num_q + den_q))
-        num_i = [int(c * scale) for c in num_q]
-        den_i = [int(c * scale) for c in den_q]
-        g = int_gcd(polys.content(num_i), polys.content(den_i))
-        num_i = [c // g for c in num_i]
-        den_i = [c // g for c in den_i]
+        model = polys.to_integer(num + den)
+        num_i, den_i = model[: len(num)], model[len(num) :]
         # sign normalization: first nonzero denominator coefficient positive
         first = next(c for c in den_i if c != 0)
         if first < 0:
@@ -316,24 +287,19 @@ class RationalMap:
         """W >= 1 with |R| * H^d <= W * max(|p(a,b)|, |q(a,b)|) for all
         integers a, b, where H = max(|a|, |b|) and R is the form resultant.
 
-        Solving the Sylvester-style systems (determinant +-R) gives forms u, v,
-        s, t of degree d-1 with u*p + v*q = R * x^(2d-1) and
-        s*p + t*q = R * y^(2d-1); W = max(L1(u) + L1(v), L1(s) + L1(t), 1).
+        Solving against the transposed Sylvester matrix (determinant +-R),
+        whose row j holds the coefficients of x^(2d-1-j) y^j in u*p + v*q,
+        gives forms u, v, s, t of degree d-1 with u*p + v*q = R * x^(2d-1)
+        and s*p + t*q = R * y^(2d-1); W = max(L1(u) + L1(v), L1(s) + L1(t), 1).
         See heights.phi_height_bound for the derivation."""
         if self._lower_norm is None:
-            d = self.degree
-            size = 2 * d
-            matrix = [[0] * size for _ in range(size)]
-            for k in range(d):
-                for m in range(size):
-                    if 0 <= m - k <= d:
-                        matrix[m][k] = self._p_form[m - k]
-                        matrix[m][d + k] = self._q_form[m - k]
+            sylvester = polys.form_sylvester(self._p_form, self._q_form, self.degree)
+            transpose = [list(column) for column in zip(*sylvester)]
             norm = Fraction(1)
-            for target_row in (size - 1, 0):
-                rhs = [0] * size
+            for target_row in (0, len(transpose) - 1):
+                rhs = [0] * len(transpose)
                 rhs[target_row] = self.resultant
-                solution = polys.solve_exact(matrix, rhs)
+                solution = polys.solve_exact(transpose, rhs)
                 norm = max(norm, sum(abs(c) for c in solution))
             self._lower_norm = norm
         return self._lower_norm
@@ -374,50 +340,35 @@ class RationalMap:
     # -- reduction ------------------------------------------------------------
 
     def good_reduction(self, p: int) -> bool:
-        """The literal two-condition test: P, Q keep no common root mod p and
-        neither do the reversed forms p(1,y), q(1,y)."""
-        affine = _fp_gcd_degree(_fp_poly(self.numer_coeffs, p), _fp_poly(self.denom_coeffs, p), p)
-        if affine is None or affine > 0:
-            return False
-        rev_p = _fp_poly(list(reversed(self._p_form)), p)
-        rev_q = _fp_poly(list(reversed(self._q_form)), p)
-        at_inf = _fp_gcd_degree(rev_p, rev_q, p)
-        return at_inf is not None and at_inf == 0
+        """phi reduces mod p to a map of the same degree.  The forms have
+        joint content 1, so this holds exactly when p does not divide their
+        resultant: the reduced forms then share no root on P^1 over F_p-bar."""
+        return self.resultant % p != 0
 
     def bad_reduction_primes(self, budget: int = DEFAULT_BUDGET) -> BadReduction:
-        """Primes dividing the form resultant, confirmed by the two-condition
-        test.  Resultant divisibility is necessary, the literal test decides."""
+        """The primes of the factored form resultant; any part the budget
+        leaves unsplit is reported as the unresolved cofactor."""
         res = self.resultant
-        fac = factor(abs(res), budget=budget) if abs(res) > 1 else None
-        bad = set()
-        cofactor = None
-        if fac is not None:
-            for p in fac.primes():
-                if not self.good_reduction(p):
-                    bad.add(p)
-            cofactor = fac.cofactor
-        return BadReduction(primes=frozenset(bad), resultant=res, unresolved_cofactor=cofactor)
+        if abs(res) == 1:
+            return BadReduction(primes=frozenset(), resultant=res)
+        fac = factor(abs(res), budget=budget)
+        return BadReduction(
+            primes=frozenset(fac.primes()), resultant=res, unresolved_cofactor=fac.cofactor
+        )
 
     def reduce_residue(self, z, p: int):
         """r_p(z): reduction of a point to F_p plus infinity."""
-        z = as_point(z)
-        if z is INFINITY:
-            return INFINITY
-        a, b = point_to_pair(z)
+        a, b = point_to_pair(as_point(z))
         if b % p == 0:
             return INFINITY
         return a * pow(b, p - 2, p) % p
 
     def residue_step(self, r, p: int):
-        """The induced map on F_p plus infinity at a good prime."""
-        if r is INFINITY:
-            pv = self._p_form[-1] % p
-            qv = self._q_form[-1] % p
-        else:
-            pv = polys.evaluate(list(self.numer_coeffs), r) % p
-            qv = polys.evaluate(list(self.denom_coeffs), r) % p
-        if qv == 0:
-            if pv == 0:
+        """The induced map on F_p plus infinity at a good prime: the forms
+        at (r : 1), or at (1 : 0) for infinity, reduced mod p."""
+        pv, qv = self._eval_forms(*point_to_pair(r))
+        if qv % p == 0:
+            if pv % p == 0:
                 raise BadPrimeError(f"{p} is a prime of bad reduction")
             return INFINITY
         return pv * pow(qv, p - 2, p) % p
@@ -717,13 +668,14 @@ def _split(branch, form, k: int):
 def _primitive_pair(a, b):
     """A pair of polynomials over Q scaled to integer coefficients with
     content 1 (the same point of P^1 over Q[x]/(f))."""
-    den = lcm(*(Fraction(c).denominator for c in a + b))
-    a = [int(c * den) for c in a]
-    b = [int(c * den) for c in b]
-    g = int_gcd(*a, *b)
-    if g == 0:
+    model = polys.to_integer(a + b)
+    if not model:
         raise InvariantError("(0:0) reached on a critical orbit")
-    return [c // g for c in a], [c // g for c in b]
+    return model[: len(a)], model[len(a) :]
+
+
+def _as_ff(c):
+    return c if isinstance(c, FFElement) else FFElement.from_const(c)
 
 
 class RationalMapFF:
@@ -746,8 +698,8 @@ class RationalMapFF:
         common = polys.gcd(num, den)
         if polys.degree(common) > 0:
             raise MapConstructionError("numerator and denominator share a root over Q(t)")
-        self.numer_coeffs = tuple(num)
-        self.denom_coeffs = tuple(den)
+        self.numer_coeffs = tuple(_as_ff(c) for c in num)
+        self.denom_coeffs = tuple(_as_ff(c) for c in den)
         self.degree = d
 
     @classmethod
@@ -776,14 +728,9 @@ class RationalMapFF:
             if dd > dn:
                 return FFElement.from_const(0)
             return self.numer_coeffs[-1] / self.denom_coeffs[-1]
-        if not isinstance(z, FFElement):
-            z = FFElement.from_const(z)
+        z = _as_ff(z)
         pv = polys.evaluate(list(self.numer_coeffs), z)
         qv = polys.evaluate(list(self.denom_coeffs), z)
-        if not isinstance(pv, FFElement):
-            pv = FFElement.from_const(pv)
-        if not isinstance(qv, FFElement):
-            qv = FFElement.from_const(qv)
         if qv.is_zero:
             if pv.is_zero:
                 raise InvariantError("(0:0) reached over Q(t)")
@@ -797,8 +744,8 @@ class RationalMapFF:
         def side(coeffs):
             parts = []
             for k in range(polys.degree(list(coeffs)), -1, -1):
-                c = coeffs[k] if k < len(coeffs) else None
-                if c is None or (isinstance(c, FFElement) and c.is_zero):
+                c = coeffs[k]
+                if c.is_zero:
                     continue
                 xpow = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
                 cs = str(c)
@@ -834,8 +781,8 @@ class OrbitWalk:
     def __init__(self, rmap, alpha, seed_values=()):
         if not isinstance(rmap, RationalMapFF):
             alpha = as_point(alpha)
-        elif alpha is not INFINITY and not isinstance(alpha, FFElement):
-            alpha = FFElement.from_const(alpha)
+        elif alpha is not INFINITY:
+            alpha = _as_ff(alpha)
         self.values = [alpha]
         self.tail = None
         self.period = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 
 from .intplaces import rational_to_decimal
 
@@ -264,24 +265,20 @@ def discriminant(p):
 
 def content(p):
     """Gcd of the integer coefficients (p must have int entries)."""
-    g = 0
-    for a in p:
-        g = int_gcd(g, abs(a))
-    return g
+    return int_gcd(*p)
 
 
 def to_integer(p):
-    """Clear denominators of a Fraction polynomial and divide out the content.
+    """Clear denominators of rationals (a polynomial, or any list with a
+    nonzero entry) and divide out the content.
 
-    Returns an int-coefficient list with content 1 (sign untouched).
+    Returns an int list with content 1, of the same signs and ratios.
     """
     if is_zero(p):
         return []
-    lcm = 1
-    for a in p:
-        d = Fraction(a).denominator
-        lcm = lcm * d // int_gcd(lcm, d)
-    ints = [int(a * lcm) for a in p]
+    p = [Fraction(a) for a in p]
+    scale = lcm(*(a.denominator for a in p))
+    ints = [a.numerator * (scale // a.denominator) for a in p]
     c = content(ints)
     return [a // c for a in ints]
 

@@ -97,15 +97,13 @@ def to_json(report: dict) -> str:
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_orbit(report, config) -> dict:
+def build_orbit(map_str, alpha_str, field, records, termination, config) -> dict:
     data = {
-        "map": report.map_str,
-        "alpha": report.alpha_str,
-        "field": report.field,
-        "values": [
-            {"n": rec.n, "value": value_str(rec.value)} for rec in report.records
-        ],
-        "termination": _termination_dict(report.termination),
+        "map": map_str,
+        "alpha": alpha_str,
+        "field": field,
+        "values": [{"n": rec.n, "value": value_str(rec.value)} for rec in records],
+        "termination": _termination_dict(termination),
     }
     return envelope("orbit", config, data)
 
@@ -120,6 +118,16 @@ def _termination_dict(term):
     return out
 
 
+def _ramification_dict(verdict):
+    return {
+        "kind": verdict.kind,
+        "witness": verdict.witness,
+        "cumulative_simple_roots": verdict.cumulative_simple_roots,
+        "depth": verdict.depth,
+        "threshold": verdict.threshold,
+    }
+
+
 def build_zsigmondy(report, config) -> dict:
     records = []
     for rec in report.records:
@@ -131,17 +139,9 @@ def build_zsigmondy(report, config) -> dict:
             "unresolved": rec.squarefree_unresolved,
         }
         if rec.primitive_part is not None:
-            row["primitive_part"] = (
-                big(rec.primitive_part)
-                if isinstance(rec.primitive_part, int)
-                else value_str(rec.primitive_part)
-            )
+            row["primitive_part"] = value_str(rec.primitive_part)
         if rec.squarefree_witness is not None:
-            row["squarefree_witness"] = (
-                big(rec.squarefree_witness)
-                if isinstance(rec.squarefree_witness, int)
-                else value_str(rec.squarefree_witness)
-            )
+            row["squarefree_witness"] = value_str(rec.squarefree_witness)
         records.append(row)
     notes = report.notes
     notes_dict = None
@@ -157,13 +157,7 @@ def build_zsigmondy(report, config) -> dict:
                 "period": notes.classification.period,
             }
         if notes.ramification is not None:
-            notes_dict["ramification"] = {
-                "kind": notes.ramification.kind,
-                "witness": notes.ramification.witness,
-                "cumulative_simple_roots": notes.ramification.cumulative_simple_roots,
-                "depth": notes.ramification.depth,
-                "threshold": notes.ramification.threshold,
-            }
+            notes_dict["ramification"] = _ramification_dict(notes.ramification)
     data = {
         "map": report.map_str,
         "alpha": report.alpha_str,
@@ -232,13 +226,7 @@ def build_map_analyze(rmap, bad, verdict, config) -> dict:
             else big(bad.unresolved_cofactor),
         },
         "power_map": rmap.is_power_map(),
-        "ramification": {
-            "kind": verdict.kind,
-            "witness": verdict.witness,
-            "cumulative_simple_roots": verdict.cumulative_simple_roots,
-            "depth": verdict.depth,
-            "threshold": verdict.threshold,
-        },
+        "ramification": _ramification_dict(verdict),
     }
     return envelope("map-analyze", config, data)
 

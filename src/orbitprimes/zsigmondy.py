@@ -52,6 +52,7 @@ class _IntValues:
     """Numerator domain for K = Q."""
 
     field = "Q"
+    unit = 1
 
     @staticmethod
     def numerator(value):
@@ -80,6 +81,7 @@ class _PolyValues:
     """Numerator domain for K = Q(t): monic polynomials, constants are units."""
 
     field = "Q(t)"
+    unit = (Fraction(1),)
 
     @staticmethod
     def numerator(value):
@@ -140,14 +142,6 @@ class OrbitRecord:
     factored: Optional[FactoredValue] = None
 
 
-def _is_zero_value(value):
-    if value is INFINITY:
-        return False
-    if isinstance(value, FFElement):
-        return value.is_zero
-    return value == 0
-
-
 def orbit(rmap, alpha, depth: int, seed_values=None):
     """Values phi(alpha) .. phi^depth(alpha), with early-stop bookkeeping.
 
@@ -163,7 +157,7 @@ def orbit(rmap, alpha, depth: int, seed_values=None):
     records = []
     for n, value in islice(walk, depth):
         records.append(OrbitRecord(n=n, value=value))
-        if walk.tail is None and _is_zero_value(value):
+        if walk.tail is None and value == 0:
             return records, Termination(kind="hit-zero", zero_index=n)
     if walk.tail is not None:
         termination = Termination(kind="preperiodic", tail=walk.tail, period=walk.period)
@@ -185,14 +179,14 @@ def primitive_part(records, n: int, domain=_IntValues):
     rec = records[n - 1]
     if rec.n != n:
         raise ValueError("records must be contiguous from n = 1")
-    if rec.value is INFINITY or _is_zero_value(rec.value):
+    if rec.value is INFINITY or rec.value == 0:
         raise ValueError(f"orbit value at n = {n} is 0 or infinity")
     part = domain.numerator(rec.value)
     for m in range(1, n):
         earlier = domain.numerator(records[m - 1].value)
         if domain.is_zero(earlier):
             # an exact zero upstream absorbs every prime
-            return _unit_of(domain)
+            return domain.unit
         # every prime shared with `earlier` divides g, so later rounds
         # need only the (smaller) g
         g = domain.gcd(part, earlier)
@@ -200,10 +194,6 @@ def primitive_part(records, n: int, domain=_IntValues):
             part = domain.div(part, g)
             g = domain.gcd(part, g)
     return part
-
-
-def _unit_of(domain):
-    return 1 if domain is _IntValues else (Fraction(1),)
 
 
 def primitive_prime_factors(records, n: int, budget: int = DEFAULT_BUDGET):
@@ -337,7 +327,7 @@ def zsigmondy_report(
     factor_cache = factor_cache or {}
     records, termination = orbit(rmap, alpha, depth, seed_values=seed_values)
     analyzable = [rec for rec in records
-                  if rec.value is not INFINITY and not _is_zero_value(rec.value)]
+                  if rec.value is not INFINITY and rec.value != 0]
     for rec in analyzable:
         rec.primitive_part = primitive_part(records, rec.n, domain=domain)
         rec.has_primitive = not domain.is_unit(rec.primitive_part)
@@ -492,7 +482,7 @@ def prop_old_diagnostic(
     best = float("-inf")
     for n in range(max(1, i), len(records) + 1):
         value_n = records[n - 1].value
-        if value_n is INFINITY or _is_zero_value(value_n):
+        if value_n is INFINITY or value_n == 0:
             rows.append(
                 PropOldRow(n=n, mass=LogMass(0.0, True, 1), height=0.0,
                            delta_height=0.0, margin=0.0, ratio=None,

@@ -12,7 +12,9 @@ gcds on the same expansion.  The square-free rule runs the library's
 `factor` to the end, the path the early-stopping square-free search must
 agree with.  Decimal output is split
 at powers of ten with int divmod, and map evaluation computes both forms
-before it checks the digit cap.
+before it checks the digit cap.  Good reduction is the literal
+two-condition test with its own F_p Euclid, and the height-bound constant W
+is solved against a matrix built column by column from the forms.
 """
 
 from fractions import Fraction
@@ -350,3 +352,68 @@ def evaluate_exact(rmap, z):
     if max(abs(pv), abs(qv)).bit_length() > limit:
         raise ResourceCapError("over the digit cap", cap=rmap.digit_cap)
     return Fraction(pv, qv)
+
+
+def _fp_gcd_degree(f, g, p):
+    """Degree of gcd(f, g) over F_p for integer coefficient lists, lowest
+    degree first; None when both reduce to the zero polynomial."""
+    a = [c % p for c in f]
+    b = [c % p for c in g]
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            k = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[k + i] = (a[k + i] - c * bc) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1 if a else None
+
+
+def good_reduction_literal(rmap, p):
+    """The literal two-condition test: P and Q keep no common root mod p,
+    and neither do the reversed forms p(1, y) and q(1, y)."""
+    affine = _fp_gcd_degree(rmap.numer_coeffs, rmap.denom_coeffs, p)
+    at_infinity = _fp_gcd_degree(rmap._p_form[::-1], rmap._q_form[::-1], p)
+    return affine == 0 and at_infinity == 0
+
+
+def _solve_fractions(matrix, rhs):
+    """x with matrix * x = rhs, by Gauss-Jordan elimination over Fractions."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def lower_bound_norm_oracle(rmap):
+    """W = max(L1(u) + L1(v), L1(s) + L1(t), 1) for the degree-(d-1) forms
+    with u*p + v*q = R * x^(2d-1) and s*p + t*q = R * y^(2d-1).  Row m of the
+    matrix is the coefficient of x^m y^(2d-1-m); column k (column d + k)
+    multiplies the coefficient of x^k y^(d-1-k) in u (in v)."""
+    d = rmap.degree
+    size = 2 * d
+    matrix = [[0] * size for _ in range(size)]
+    for k in range(d):
+        for m in range(k, k + d + 1):
+            matrix[m][k] = rmap._p_form[m - k]
+            matrix[m][d + k] = rmap._q_form[m - k]
+    norm = Fraction(1)
+    for target_row in (size - 1, 0):
+        rhs = [0] * size
+        rhs[target_row] = rmap.resultant
+        norm = max(norm, sum(abs(c) for c in _solve_fractions(matrix, rhs)))
+    return norm

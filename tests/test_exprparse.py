@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from orbitprimes import polys
-from orbitprimes.errors import ExprSyntaxError
+from orbitprimes.errors import ExprSyntaxError, ResourceCapError
 from orbitprimes.exprparse import parse_polynomial, parse_rational_function
+from orbitprimes.maps import as_point
 
 
 def rf(text):
@@ -102,3 +103,14 @@ def test_non_ascii_digits_are_syntax_errors(text, position):
     with pytest.raises(ExprSyntaxError) as info:
         parse_rational_function(text)
     assert info.value.position == position
+
+
+def test_power_literals_meet_the_digit_cap_before_multiplying():
+    # 2^4000000 has 1.2 million digits, past the 10^6-digit cap
+    with pytest.raises(ResourceCapError, match="digit cap near position 5"):
+        parse_rational_function("x^2+2^4000000", var="x")
+    with pytest.raises(ResourceCapError):
+        as_point("(1/2)^-4000000")
+    # k * (bit_length(h) - 1) is a lower bound on the bits of h^k
+    assert as_point("2^3000000") == 2**3000000
+    assert as_point("1^99999999999") == 1

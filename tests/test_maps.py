@@ -21,7 +21,9 @@ from orbitprimes.ffplaces import FFElement
 from orbitprimes.maps import ITERATE_DEGREE_CAP
 from oracles import (
     evaluate_exact,
+    good_reduction_literal,
     iterate_forms,
+    lower_bound_norm_oracle,
     preimage_count_oracle,
     qq_poly,
     ramification_profile_oracle,
@@ -232,13 +234,47 @@ def test_bad_reduction_examples():
     assert RationalMap.parse("x^2").bad_reduction_primes().primes == frozenset()
 
 
-def test_bad_reduction_confirms_with_literal_test(corpus_maps):
-    rng = random.Random(6)
-    for m in corpus_maps + [random_map(rng) for _ in range(15)]:
-        bad = m.bad_reduction_primes()
-        assert bad.complete
-        for p in (2, 3, 5, 7, 11, 13):
-            assert m.good_reduction(p) == (p not in bad.primes)
+PRIMES_TO_50 = [p for p in range(2, 51) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def integral_maps(draw, coefficient):
+    """A RationalMap of degree 2-4 whose numerator and denominator
+    coefficients are drawn from the given strategy."""
+    d = draw(st.integers(2, 4))
+    num = draw(st.lists(coefficient, min_size=d + 1, max_size=d + 1))
+    den = draw(st.lists(coefficient, min_size=1, max_size=d + 1))
+    try:
+        return RationalMap(num, den)
+    except MapConstructionError:
+        assume(False)
+
+
+# 0 or +-2^a 3^b 5^c 7^e: the resultants are rich in small primes
+smooth_coefficients = st.builds(
+    lambda sign, a, b, c, e: sign * 2**a * 3**b * 5**c * 7**e,
+    st.sampled_from([-1, 0, 1]), *[st.integers(0, 2)] * 4,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rmap=integral_maps(smooth_coefficients))
+@example(rmap=RationalMap([1, 0, 2], [2]))  # (2x^2 + 1)/2: Q vanishes mod 2
+@example(rmap=RationalMap([0, 0, 6], [1, 0, 0, 6]))  # both forms vanish at infinity mod 2, 3
+def test_bad_reduction_confirms_with_literal_test(rmap):
+    # p | Res(P, Q) for the content-1 model decides, against the literal
+    # two-condition test over F_p
+    bad = rmap.bad_reduction_primes(budget=0)  # trial division finds every p <= 50
+    for p in PRIMES_TO_50:
+        literal = good_reduction_literal(rmap, p)
+        assert rmap.good_reduction(p) == literal
+        assert (p in bad.primes) == (not literal)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rmap=integral_maps(st.integers(-30, 30)))
+def test_lower_bound_norm_solves_the_transposed_sylvester_matrix(rmap):
+    assert rmap.lower_bound_norm() == lower_bound_norm_oracle(rmap)
 
 
 def test_reduce_and_step_examples():

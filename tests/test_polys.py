@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitprimes import polys
@@ -176,6 +176,23 @@ def test_to_integer_content():
     out = polys.to_integer(p)
     assert out == [2, 3]
     assert polys.content([6, -9, 12]) == 3
+
+
+rationals = st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(rationals, min_size=1, max_size=8))
+def test_to_integer_keeps_signs_and_ratios(values):
+    assert polys.to_integer([]) == []
+    assume(any(values))
+    out = polys.to_integer(values)
+    assert all(type(c) is int for c in out) and len(out) == len(values)
+    assert polys.content(out) == 1
+    pivot = next(i for i, v in enumerate(values) if v)
+    for v, c in zip(values, out):
+        assert (v > 0) == (c > 0) and (v < 0) == (c < 0)
+        assert c * values[pivot] == v * out[pivot]
 
 
 def test_zero_polynomial_rejections():

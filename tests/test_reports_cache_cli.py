@@ -318,6 +318,12 @@ def test_cli_resource_cap_exit_code():
     assert proc.returncode == 2
 
 
+def test_cli_power_literal_past_the_digit_cap_exit_code():
+    proc = run_cli("height", "--point", "2^4000000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource cap: ") and "near position 1" in proc.stderr
+
+
 def test_cli_formats():
     table = run_cli("abc", "--a", "1", "--b", "8", "--format", "table")
     assert table.returncode == 0
