@@ -119,6 +119,7 @@ class _Parser:
         return self._check_size(_RF(num, polys.mul(a.den, b.den)), position)
 
     def _mul(self, a, b, position):
+        self._check_literal_product(((a.num, b.num), (a.den, b.den)), position)
         return self._check_size(
             _RF(polys.mul(a.num, b.num), polys.mul(a.den, b.den)), position
         )
@@ -126,9 +127,27 @@ class _Parser:
     def _div(self, a, b, position):
         if polys.is_zero(b.num):
             raise ExprSyntaxError("division by zero", position)
+        self._check_literal_product(((a.num, b.den), (a.den, b.num)), position)
         return self._check_size(
             _RF(polys.mul(a.num, b.den), polys.mul(a.den, b.num)), position
         )
+
+    def _check_literal_product(self, sides, position):
+        """Refuse a product of rational constants before multiplying when, on
+        its numerator or its denominator side, the sum of (bit_length(c) - 1)
+        over the two integers c there, a lower bound on the bits of their
+        product, passes the digit cap.  The parser's constants over Q are
+        integers; the two sides are bounded apart, so a value such as
+        2^3000000 / 3^1800000, whose height is under the cap, still parses."""
+        if not all(len(f) == 1 and isinstance(f[0], (int, Fraction)) for side in sides for f in side):
+            return
+        limit = _cap_bits(DEFAULT_DIGIT_CAP)
+        for side in sides:
+            if sum(abs(f[0].numerator).bit_length() - 1 for f in side) > limit:
+                raise ResourceCapError(
+                    f"product literal exceeds the {DEFAULT_DIGIT_CAP}-digit cap near position {position}",
+                    cap=DEFAULT_DIGIT_CAP,
+                )
 
     def _check_literal_power(self, a, k, position):
         """Refuse a rational constant to the k-th power before multiplying when

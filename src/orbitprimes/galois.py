@@ -22,7 +22,7 @@ from .errors import ResourceCapError
 from .intplaces import DEFAULT_BUDGET, FactoredValue
 from .maps import OrbitWalk, RationalMap
 from .polys import discriminant
-from .zsigmondy import OrbitRecord, squarefree_primitive_prime
+from .zsigmondy import OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_prime
 
 # the discriminant recursion is checked up to level 5 (degree 32)
 LEVEL_CAP = 5
@@ -139,18 +139,24 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
     valuation 0 at every earlier critical value.
 
-    This is the primitive square-free prime of the orbit 2, f(0), f^2(0), ...
-    at f^(n+1)(0): only the part of the critical value coprime to 2 and to
+    This is the odd primitive square-free prime of the orbit f(0), f^2(0),
+    ... at f^(n+1)(0): only the odd part of the critical value coprime to
     the earlier values can contain a certificate, and gcd-stripping
     preserves the exponents of the surviving primes, so only that part is
-    factored.  `critical_values` passes f(0), ..., f^(n+1)(0) from an
-    admissible walk that was already made.
+    factored.  The orbit is that of 0 itself and x^2 + a has resultant 1,
+    so the strip reads its divisors off the same values.
+    `critical_values` passes f(0), ..., f^(n+1)(0) from an admissible walk
+    that was already made.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     values = critical_values if critical_values is not None else _check_admissible(a, n + 1)
-    records = [OrbitRecord(n=k, value=v) for k, v in enumerate([2] + values, start=1)]
-    certificate, unresolved, fac = squarefree_primitive_prime(records, n + 2, budget=budget)
+    # a certificate is odd: 2 is stripped first, then the earlier values
+    odd = abs(values[-1])
+    odd >>= (odd & -odd).bit_length() - 1
+    records = [OrbitRecord(n=k, value=v) for k, v in enumerate(values[:-1] + [odd], start=1)]
+    part = primitive_part(records, n + 1, ZeroOrbit(_quadratic_map(a), values))
+    certificate, unresolved, fac = squarefree_primitive_prime(part, budget=budget)
     if certificate is not None:
         _validate_certificate(certificate, values)
         status = "certified"

@@ -1,16 +1,30 @@
 """Orbits, primitive prime divisors, and the non-primitive-mass diagnostic.
 
 The primitive-part detector never factors orbit numerators: a prime is
-primitive at level n exactly when it survives gcd-stripping against all
-earlier numerators, so existence reduces to "stripped part > 1".  Orbit
-numerators grow like d^n digits, which makes this the only workable route at
-depth; factoring only ever touches the (much smaller) primitive parts, and
-only for square-free verdicts.
+primitive at level n exactly when it divides no earlier numerator, so
+existence reduces to "stripped part > 1".  Orbit numerators grow like d^n
+digits, which makes this the only workable route at depth; factoring only
+ever touches the (much smaller) primitive parts, and only for square-free
+verdicts.
+
+Over Q the strip never takes a gcd of two orbit numerators.  Write A_n for
+the numerator of phi^n(alpha) and N_k for that of phi^k(0) (0 when
+phi^k(0) = 0, 1 when it is infinity).  Let p divide A_m and A_n, m < n.  If
+p is a prime of good reduction, phi^m(alpha) reduces to 0 mod p, so
+phi^n(alpha) reduces to phi^(n-m)(0) and p divides N_(n-m).  Otherwise p
+divides the resultant Res of the map's integral model.  So every prime
+that A_m shares with A_n divides gcd(A_m, N_(n-m)) or gcd(A_m, Res), and
+stripping A_n against these two small divisors of A_m, for each m < n,
+leaves exactly the part that stripping against A_m itself would.  The
+orbit of 0 is walked once per scan; past the digit cap, N_k is read by
+stepping (0 : 1) through the integral forms mod A_m, whose content divides
+a power of Res and so adds only primes that the second gcd covers anyway.
 
 The same generic code path drives K = Q (integer numerators) and K = Q(t)
 (polynomial numerators): both are gcd domains with units, nothing else is
-assumed.  Over Q(t) the square-free verdict is factorization-free as well,
-via the multiplicity-1 component of a square-free decomposition.
+assumed.  Over Q(t) each level is still stripped against every earlier
+numerator in full.  The square-free verdict there is factorization-free as
+well, via the multiplicity-1 component of a square-free decomposition.
 """
 
 from __future__ import annotations
@@ -110,10 +124,6 @@ class _PolyValues:
         return len(a) == 0
 
 
-def _domain_for(rmap):
-    return _PolyValues if isinstance(rmap, RationalMapFF) else _IntValues
-
-
 # ---------------------------------------------------------------------------
 # Orbits
 # ---------------------------------------------------------------------------
@@ -172,10 +182,65 @@ def orbit(rmap, alpha, depth: int, seed_values=None):
 # Primitive parts and primes
 # ---------------------------------------------------------------------------
 
-def primitive_part(records, n: int, domain=_IntValues):
+class ZeroOrbit:
+    """What a level is stripped against over Q: the orbit of 0 under the map
+    and the resultant of its integral model (see the module docstring).
+
+    `walk` is one lazy `OrbitWalk` of 0, advanced only as far as a strip
+    asks; `seed_values` replays phi(0), phi^2(0), ... when they are known.
+    """
+
+    domain = _IntValues
+
+    def __init__(self, rmap: RationalMap, seed_values=()):
+        self.walk = OrbitWalk(rmap, 0, seed_values)
+        self._rmap = rmap
+        self._bad = abs(rmap.resultant)
+
+    def divisors(self, earlier: int, k: int):
+        """Two divisors of `earlier` = A_m that hold every prime A_m shares
+        with A_(m+k): gcd(A_m, N_k) for the good primes, gcd(A_m, Res) for
+        the bad ones."""
+        walk = self.walk
+        while len(walk.values) <= k and walk.cap_error is None:
+            next(walk, None)
+        if k < len(walk.values):
+            numerator = _IntValues.numerator(walk.values[k])
+        else:
+            numerator = self._stepped_numerator(k, earlier)
+        return int_gcd(earlier, numerator), int_gcd(earlier, self._bad)
+
+    def _stepped_numerator(self, k: int, modulus: int) -> int:
+        """N_k times a divisor of a power of Res, mod `modulus`: (0 : 1)
+        stepped k times through the integral forms, for levels past the
+        digit cap of the walk."""
+        a, b = 0, 1
+        for _ in range(k):
+            a, b = (v % modulus for v in self._rmap._eval_forms(a, b))
+        return a
+
+
+class _EveryEarlier:
+    """What a level is stripped against over Q(t): every earlier numerator
+    in full.  The orbit of 0 costs more than it saves there while the gcd
+    of Q(t) is a pseudo-remainder sequence (ROADMAP item 5)."""
+
+    domain = _PolyValues
+
+    @staticmethod
+    def divisors(earlier, k):
+        return (earlier,)
+
+
+def primitive_part(records, n: int, basis):
     """Numerator of the n-th value with every prime shared with an earlier
     numerator stripped by repeated gcd division.  A primitive prime factor
-    exists iff the result is not a unit; no factorization is involved."""
+    exists iff the result is not a unit; no factorization is involved.
+
+    `basis` supplies, for each earlier numerator, divisors of it that hold
+    every prime it shares with the n-th: the map's `ZeroOrbit` over Q,
+    `_EveryEarlier` over Q(t)."""
+    domain = basis.domain
     rec = records[n - 1]
     if rec.n != n:
         raise ValueError("records must be contiguous from n = 1")
@@ -187,21 +252,24 @@ def primitive_part(records, n: int, domain=_IntValues):
         if domain.is_zero(earlier):
             # an exact zero upstream absorbs every prime
             return domain.unit
-        # every prime shared with `earlier` divides g, so later rounds
-        # need only the (smaller) g
-        g = domain.gcd(part, earlier)
-        while not domain.is_unit(g):
-            part = domain.div(part, g)
-            g = domain.gcd(part, g)
+        if domain.is_unit(earlier):
+            continue
+        for divisor in basis.divisors(earlier, n - m):
+            # every prime shared with `divisor` divides g, so later rounds
+            # need only the (smaller) g
+            g = domain.gcd(part, divisor)
+            while not domain.is_unit(g):
+                part = domain.div(part, g)
+                g = domain.gcd(part, g)
     return part
 
 
-def primitive_prime_factors(records, n: int, budget: int = DEFAULT_BUDGET):
+def primitive_prime_factors(records, n: int, basis: ZeroOrbit, budget: int = DEFAULT_BUDGET):
     """Primes of the primitive part (K = Q), each re-verified against the
     definition: positive valuation at n, non-positive at every earlier level.
     Returns (primes, unresolved); unresolved means the part did not factor
     completely, so the list may be missing primes (never wrong ones)."""
-    part = primitive_part(records, n)
+    part = primitive_part(records, n, basis)
     if part == 1:
         return (), False
     fac = factor(part, budget=budget)
@@ -216,11 +284,11 @@ def primitive_prime_factors(records, n: int, budget: int = DEFAULT_BUDGET):
     return tuple(verified), not fac.is_complete
 
 
-def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
-                               precomputed: Optional[FactoredValue] = None,
-                               part=None):
-    """A primitive prime with exponent exactly 1 in the n-th numerator, or
-    None, or unresolved when the primitive part resists the factoring budget.
+def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
+                               precomputed: Optional[FactoredValue] = None):
+    """A primitive prime with exponent exactly 1 in the n-th numerator, read
+    off its primitive part `part`, or None, or unresolved when the part
+    resists the factoring budget.
 
     Gcd-stripping removes shared primes wholesale, so the exponents of the
     surviving primes inside the primitive part equal their exponents in the
@@ -233,11 +301,8 @@ def squarefree_primitive_prime(records, n: int, budget: int = DEFAULT_BUDGET,
 
     `precomputed` (from a cache) is used only if it reconstructs the current
     primitive part exactly and no listed prime divides its cofactor (an
-    under-counted exponent); anything else is silently refactored.  `part`
-    passes the primitive part when it was already stripped.
+    under-counted exponent); anything else is silently refactored.
     """
-    if part is None:
-        part = primitive_part(records, n)
     if part == 1:
         return None, False, None
     if precomputed is not None and precomputed.reconstruct() == part and all(
@@ -266,7 +331,7 @@ def squarefree_primitive_witness_ff(records, n: int, part=None):
     exists; no irreducible factorization is needed.  `part` passes the
     primitive part when it was already stripped."""
     if part is None:
-        part = primitive_part(records, n, domain=_PolyValues)
+        part = primitive_part(records, n, _EveryEarlier)
     if _PolyValues.is_unit(part):
         return None
     decomposition = polys.squarefree_decomposition(list(part))
@@ -323,21 +388,21 @@ def zsigmondy_report(
     `seed_values` and `factor_cache` come from the orbit cache: known values
     and primitive-part factorizations are reused instead of recomputed.
     """
-    domain = _domain_for(rmap)
+    basis = _EveryEarlier if isinstance(rmap, RationalMapFF) else ZeroOrbit(rmap)
+    domain = basis.domain
     factor_cache = factor_cache or {}
     records, termination = orbit(rmap, alpha, depth, seed_values=seed_values)
     analyzable = [rec for rec in records
                   if rec.value is not INFINITY and rec.value != 0]
     for rec in analyzable:
-        rec.primitive_part = primitive_part(records, rec.n, domain=domain)
+        rec.primitive_part = primitive_part(records, rec.n, basis)
         rec.has_primitive = not domain.is_unit(rec.primitive_part)
 
     sf_records = [rec for rec in analyzable if rec.n <= squarefree_depth]
     if domain is _IntValues:
         for rec in sf_records:
             prime, unresolved, fac = squarefree_primitive_prime(
-                records, rec.n, budget=budget, precomputed=factor_cache.get(rec.n),
-                part=rec.primitive_part,
+                rec.primitive_part, budget=budget, precomputed=factor_cache.get(rec.n),
             )
             rec.squarefree_witness = prime
             rec.squarefree_unresolved = unresolved

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is checking: the
 resultant oracle is a bare Sylvester determinant over Fractions, the
 primitive-divisor oracle works from factorizations and definitional
 valuation checks (with a gcd-splitting closure for composites the factoring
-budget cannot finish, which still yields sound verdicts), iterates are
+budget cannot finish, which still yields sound verdicts), the primitive
+part is stripped against every earlier numerator in full (not against the
+orbit of 0 and the resultant), iterates are
 expanded by sympy composition, and the fibre oracles read multiplicities off
 that degree-d^n iterate with sympy's square-free decomposition instead of
 following critical orbits.  The prop-old screens are sympy remainders and
@@ -179,6 +181,21 @@ def primitive_existence_oracle(numerators, n, rho_steps=1 << 20):
             # coprime to all earlier numerators: all its primes are primitive
             return True, None, not leftovers
     return False, None, not leftovers
+
+
+def all_pairs_primitive_part(numerators, n):
+    """numerators[n-1] with every prime of every earlier numerator divided
+    out, by gcds against each earlier numerator in full.  An earlier 0 is
+    divisible by every prime, so the part is then 1."""
+    part = numerators[n - 1]
+    for earlier in numerators[: n - 1]:
+        if earlier == 0:
+            return 1
+        g = gcd(part, earlier)
+        while g != 1:
+            part //= g
+            g = gcd(part, g)
+    return part
 
 
 def squarefree_primitive_oracle(numerators, n, rho_steps=1 << 22):

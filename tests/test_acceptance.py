@@ -48,7 +48,7 @@ from orbitprimes import reports
 from orbitprimes.galois import critical_orbit
 from orbitprimes.heights import height_float
 from orbitprimes.intplaces import log_int
-from orbitprimes.zsigmondy import orbit, primitive_part, squarefree_primitive_prime
+from orbitprimes.zsigmondy import ZeroOrbit, orbit, primitive_part, squarefree_primitive_prime
 from oracles import primitive_existence_oracle, squarefree_primitive_oracle
 
 
@@ -73,14 +73,15 @@ def test_criterion_01_zsigmondy_empiricism():
     def body():
         m = RationalMap.parse("x^2+1")
         records, _ = orbit(m, 1, 10)
+        zero = ZeroOrbit(m)
         numerators = [abs(Fraction(r.value).numerator) for r in records]
         for n in range(1, 11):
-            fast = primitive_part(records, n) > 1
+            fast = primitive_part(records, n, zero) > 1
             exists, witness, complete = primitive_existence_oracle(numerators, n)
             assert complete, f"oracle factorization incomplete at n={n}"
             assert fast is True and exists is True, f"n={n}"
         for n in range(1, 8):
-            prime, unresolved, _ = squarefree_primitive_prime(records, n)
+            prime, unresolved, _ = squarefree_primitive_prime(primitive_part(records, n, zero))
             assert not unresolved
             exists, oracle_prime, complete = squarefree_primitive_oracle(numerators, n)
             assert complete
@@ -138,13 +139,14 @@ def test_criterion_03_detector_equivalence_random():
             built += 1
             alpha = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
             records, _ = orbit(m, alpha, 8)
+            zero = ZeroOrbit(m)
             numerators = []
             for rec in records:
                 if rec.value is INFINITY or rec.value == 0:
                     break
                 numerators.append(abs(Fraction(rec.value).numerator))
             for n in range(1, len(numerators) + 1):
-                fast = primitive_part(records, n) > 1
+                fast = primitive_part(records, n, zero) > 1
                 exists, _, _ = primitive_existence_oracle(
                     numerators, n, rho_steps=1 << 16
                 )

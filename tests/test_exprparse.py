@@ -114,3 +114,19 @@ def test_power_literals_meet_the_digit_cap_before_multiplying():
     # k * (bit_length(h) - 1) is a lower bound on the bits of h^k
     assert as_point("2^3000000") == 2**3000000
     assert as_point("1^99999999999") == 1
+
+
+def test_product_literals_meet_the_digit_cap_before_multiplying():
+    # numerator and denominator are bounded apart, each by the sum of
+    # (bit_length - 1) over its two factors
+    with pytest.raises(ResourceCapError, match="product literal exceeds .* near position 9"):
+        as_point("2^3000000*2^3000000")
+    with pytest.raises(ResourceCapError, match="product literal"):
+        as_point("1/2^2000000/3^1300000")
+    with pytest.raises(ResourceCapError, match="product literal"):
+        parse_rational_function("x^2+(2^3000000)(2^3000000)", var="x")
+    # just under the cap (3330064 bits): 3300000 bits
+    assert as_point("2^1650000*2^1650000") == 2**3300000
+    assert as_point("(1/2^1650000)/2^1650000") == Fraction(1, 2**3300000)
+    # height 2^3000000, under the cap, though the two heights sum past it
+    assert as_point("2^3000000/3^1800000") == Fraction(2**3000000, 3**1800000)

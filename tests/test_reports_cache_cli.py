@@ -324,6 +324,18 @@ def test_cli_power_literal_past_the_digit_cap_exit_code():
     assert proc.stderr.startswith("resource cap: ") and "near position 1" in proc.stderr
 
 
+@pytest.mark.parametrize("args, position", [
+    # each factor is under the cap, their product of 9 million bits is not
+    (("height", "--point", "2^3000000*2^3000000*2^3000000"), 9),
+    (("zsigmondy", "--map", "x^2+2^3000000/(1/2^3000000)", "--alpha", "1"), 13),
+])
+def test_cli_product_literal_past_the_digit_cap_exit_code(args, position):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource cap: product literal") and \
+        f"near position {position}" in proc.stderr
+
+
 def test_cli_formats():
     table = run_cli("abc", "--a", "1", "--b", "8", "--format", "table")
     assert table.returncode == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitprimes import (
@@ -24,7 +24,7 @@ from orbitprimes import (
 from orbitprimes.ffplaces import FFElement
 from orbitprimes.intplaces import valuation
 from orbitprimes.zsigmondy import (
-    OrbitRecord,
+    ZeroOrbit,
     orbit,
     primitive_part,
     primitive_prime_factors,
@@ -32,6 +32,7 @@ from orbitprimes.zsigmondy import (
     squarefree_primitive_witness_ff,
 )
 from oracles import (
+    all_pairs_primitive_part,
     iterate_forms,
     primitive_existence_oracle,
     prop_old_screen_oracle,
@@ -92,22 +93,22 @@ def test_orbit_seed_replay_matches_fresh():
 def test_primitive_part_examples():
     m = RationalMap.parse("x^2+1")
     records, _ = orbit(m, 1, 5)
-    assert primitive_part(records, 3) == 13
-    assert primitive_part(records, 5) == 45833
+    assert primitive_part(records, 3, ZeroOrbit(m)) == 13
+    assert primitive_part(records, 5, ZeroOrbit(m)) == 45833
 
     sq = RationalMap.parse("x^2")
     records, _ = orbit(sq, 2, 3)
-    assert primitive_part(records, 2) == 1
+    assert primitive_part(records, 2, ZeroOrbit(sq)) == 1
 
 
 def test_primitive_prime_factors_examples():
     m = RationalMap.parse("x^2+1")
     records, _ = orbit(m, 1, 5)
-    assert primitive_prime_factors(records, 3) == ((13,), False)
-    assert primitive_prime_factors(records, 4) == ((677,), False)
+    assert primitive_prime_factors(records, 3, ZeroOrbit(m)) == ((13,), False)
+    assert primitive_prime_factors(records, 4, ZeroOrbit(m)) == ((677,), False)
     sq = RationalMap.parse("x^2")
     records, _ = orbit(sq, 2, 3)
-    assert primitive_prime_factors(records, 3) == ((), False)
+    assert primitive_prime_factors(records, 3, ZeroOrbit(sq)) == ((), False)
 
 
 def test_primitive_primes_satisfy_definition(corpus_maps):
@@ -115,12 +116,13 @@ def test_primitive_primes_satisfy_definition(corpus_maps):
     for m in corpus_maps:
         depth = 6 if m.degree == 2 else 4
         records, _ = orbit(m, Fraction(3), depth)
+        zero = ZeroOrbit(m)
         for rec in records:
             if rec.value is INFINITY or rec.value == 0:
                 break
             # unresolved (budget ran out on a huge primitive part) is a
             # legitimate data outcome; listed primes must still check out
-            primes, unresolved = primitive_prime_factors(records, rec.n, budget=100_000)
+            primes, unresolved = primitive_prime_factors(records, rec.n, zero, budget=100_000)
             for p in primes:
                 assert valuation(rec.value, p) > 0
                 for earlier in records[: rec.n - 1]:
@@ -131,13 +133,13 @@ def test_primitive_primes_satisfy_definition(corpus_maps):
 def test_squarefree_examples():
     m = RationalMap.parse("x^2+1")
     records, _ = orbit(m, 1, 5)
-    assert squarefree_primitive_prime(records, 3)[:2] == (13, False)
-    assert squarefree_primitive_prime(records, 2)[:2] == (5, False)
+    assert squarefree_primitive_prime(primitive_part(records, 3, ZeroOrbit(m)))[:2] == (13, False)
+    assert squarefree_primitive_prime(primitive_part(records, 2, ZeroOrbit(m)))[:2] == (5, False)
 
     sq = RationalMap.parse("(x-1)^2")
     records, _ = orbit(sq, 3, 3)
     assert [r.value for r in records] == [4, 9, 64]
-    prime, unresolved, _ = squarefree_primitive_prime(records, 2)
+    prime, unresolved, _ = squarefree_primitive_prime(primitive_part(records, 2, ZeroOrbit(sq)))
     assert prime is None and not unresolved
 
 
@@ -145,8 +147,7 @@ def test_squarefree_sees_exponents_past_the_budget():
     # rho splits p off, then the budget runs out on p * q * r: p^2 divides
     # the part, so p is no witness and the level stays unresolved
     p, q, r = 93604463, 80852481648220942189071096236914129511269, 2200367677
-    records = [OrbitRecord(n=1, value=p * p * q * r)]
-    prime, unresolved, fac = squarefree_primitive_prime(records, 1, budget=10_000)
+    prime, unresolved, fac = squarefree_primitive_prime(p * p * q * r, budget=10_000)
     assert prime is None and unresolved
     assert fac.prime_powers == ((p, 2),)
 
@@ -157,12 +158,10 @@ def test_squarefree_small_witness_skips_rho(monkeypatch):
     monkeypatch.setattr(intplaces, "_brent_split",
                         lambda n, budget: calls.append(n) or split(n, budget))
     big = 1000003 * (2**31 - 1)
-    records = [OrbitRecord(n=1, value=2**2 * 3 * big)]
-    assert squarefree_primitive_prime(records, 1) == (3, False, None)
+    assert squarefree_primitive_prime(2**2 * 3 * big) == (3, False, None)
     assert calls == []
     # no exponent-1 prime below 10^4: rho runs and the factorization is kept
-    records = [OrbitRecord(n=1, value=3**2 * big)]
-    prime, unresolved, fac = squarefree_primitive_prime(records, 1)
+    prime, unresolved, fac = squarefree_primitive_prime(3**2 * big)
     assert (prime, unresolved) == (1000003, False)
     assert calls and fac.reconstruct() == 3**2 * big
 
@@ -179,8 +178,7 @@ LARGE_PRIMES = tuple(sympy.nextprime(10**k) for k in (4, 5, 7, 9, 11, 13, 16, 20
 )
 def test_squarefree_early_stop_matches_full_factor_rule(small, large, budget):
     part = math.prod(p**e for p, e in {**small, **large}.items())
-    prime, unresolved, fac = squarefree_primitive_prime(
-        [OrbitRecord(n=1, value=part)], 1, budget=budget)
+    prime, unresolved, fac = squarefree_primitive_prime(part, budget=budget)
     assert (prime, unresolved) == squarefree_full_factor_rule(part, budget)
     if prime is not None:
         assert part % prime == 0 and part % (prime * prime) != 0
@@ -194,7 +192,81 @@ def test_error_on_zero_or_infinity_level():
     m = RationalMap.parse("x^2-1")
     records, _ = orbit(m, 0, 4)
     with pytest.raises(ValueError):
-        primitive_part(records, 2)  # value 0
+        primitive_part(records, 2, ZeroOrbit(m))  # value 0
+
+
+# -- the strip against the orbit of 0 ---------------------------------------------
+
+def assert_parts_match_all_pairs(rmap, alpha, depth):
+    """Every level's primitive part, stripped against the orbit of 0 and the
+    resultant, equals the strip against every earlier numerator in full."""
+    records, _ = orbit(rmap, alpha, depth)
+    zero = ZeroOrbit(rmap)
+    numerators = [1 if r.value is INFINITY else abs(Fraction(r.value).numerator)
+                  for r in records]
+    for rec in records:
+        if rec.value is INFINITY or rec.value == 0:
+            continue
+        expected = all_pairs_primitive_part(numerators, rec.n)
+        assert primitive_part(records, rec.n, zero) == expected, (rmap.to_string(), alpha, rec.n)
+    return zero
+
+
+def test_zero_fixed_strips_every_earlier_numerator():
+    # x^2 + x fixes 0, so every N_k is 0 and gcd(A_m, N_k) is A_m itself
+    zero = assert_parts_match_all_pairs(RationalMap.parse("x^2+x"), 1, 6)
+    assert zero.walk.values[:4] == [0, 0, 0, 0]
+
+
+def test_zero_mapping_to_infinity_leaves_the_bad_primes():
+    # 0 -> infinity -> infinity: every N_k is 1, only gcd(A_m, Res) strips
+    m = RationalMap.parse("(x^2+1)/x")
+    zero = assert_parts_match_all_pairs(m, 1, 6)
+    assert zero.walk.values[1] is INFINITY
+    assert zero.walk.tail == 1 and zero.walk.period == 1
+
+
+def test_zero_periodic_is_replayed():
+    # x^2 - 1: 0 -> -1 -> 0, replayed without arithmetic
+    zero = assert_parts_match_all_pairs(RationalMap.parse("x^2-1"), 2, 7)
+    assert (zero.walk.tail, zero.walk.period) == (0, 2)
+
+
+def test_zero_past_the_digit_cap_steps_the_forms_mod_a_m(monkeypatch):
+    # 0 grows faster than alpha = 31 under x^2 - 1000: with a 4-digit cap
+    # (77 bits) the walk of 0 stops after level 3 and alpha's after level 5
+    calls = []
+    stepped = ZeroOrbit._stepped_numerator
+    monkeypatch.setattr(ZeroOrbit, "_stepped_numerator",
+                        lambda self, k, modulus: calls.append(k) or stepped(self, k, modulus))
+    m = RationalMap.parse("x^2-1000", digit_cap=4)
+    records, term = orbit(m, 31, 8)
+    assert term.kind == "resource-cap" and len(records) == 5
+    zero = assert_parts_match_all_pairs(m, 31, 8)
+    assert zero.walk.cap_error is not None and len(zero.walk.values) == 4
+    assert calls and min(calls) == 4
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.lists(small_rationals, min_size=1, max_size=4),
+       den=st.lists(small_rationals, min_size=1, max_size=4),
+       alpha=st.fractions(min_value=-5, max_value=5, max_denominator=5),
+       digit_cap=st.sampled_from([intplaces.DEFAULT_DIGIT_CAP, 2]))
+@example(num=[1, 0, 2], den=[2], alpha=Fraction(1), digit_cap=intplaces.DEFAULT_DIGIT_CAP)
+@example(num=[Fraction(1, 2), 0, 3], den=[0, 2], alpha=Fraction(2, 3),
+         digit_cap=intplaces.DEFAULT_DIGIT_CAP)
+def test_orbit_of_zero_strip_matches_all_pairs_strip(num, den, alpha, digit_cap):
+    """Random degree-2/3 maps over Q, non-monic and with denominators, so
+    with primes of bad reduction; a 2-digit cap makes the walk of 0 stop
+    early and the strip step the forms mod A_m."""
+    try:
+        m = RationalMap(num, den, digit_cap=digit_cap)
+    except MapConstructionError:
+        assume(False)
+    assert_parts_match_all_pairs(m, alpha, 6 if m.degree == 2 else 4)
 
 
 # -- full reports -----------------------------------------------------------------
@@ -222,7 +294,7 @@ def test_report_strips_each_level_once(monkeypatch):
     calls = []
     strip = zsig.primitive_part
     monkeypatch.setattr(zsig, "primitive_part",
-                        lambda records, n, **kw: calls.append(n) or strip(records, n, **kw))
+                        lambda records, n, basis: calls.append(n) or strip(records, n, basis))
     report = zsigmondy_report(RationalMap.parse("x^2+1"), 1, depth=8, squarefree_depth=7)
     assert sorted(calls) == list(range(1, 9))
     assert all(r.has_squarefree_primitive is not None for r in report.records[:7])
@@ -249,6 +321,7 @@ def test_detector_equivalence_on_corpus(corpus_maps):
         alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         depth = 8 if m.degree == 2 else 5
         records, _ = orbit(m, alpha, depth)
+        zero = ZeroOrbit(m)
         numerators = []
         usable = []
         for rec in records:
@@ -259,7 +332,7 @@ def test_detector_equivalence_on_corpus(corpus_maps):
         for n in usable:
             if numerators[n - 1] == 0:
                 continue
-            fast = primitive_part(records, n) > 1
+            fast = primitive_part(records, n, zero) > 1
             exists, _, _ = primitive_existence_oracle(numerators, n, rho_steps=1 << 16)
             assert fast == exists, (m.to_string(), alpha, n)
 
