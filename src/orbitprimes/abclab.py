@@ -204,6 +204,8 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     without any factorization.  Unlike the Q scan this inequality is a
     theorem, so margins here are structural data, not conjecture probes.
     """
+    if max_degree < 0 or coeff_bound < 0:
+        raise ValueError("max degree and coefficient bound must be >= 0")
     F = _require_scan_input(
         [c if isinstance(c, FFElement) else FFElement.from_const(c) for c in F_coeffs], epsilon
     )

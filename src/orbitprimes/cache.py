@@ -1,10 +1,13 @@
-"""Resumable orbit cache: JSON-lines records keyed by a config hash.
+"""Resumable factorization store: JSON lines keyed by the number.
 
-Each line carries the orbit value at one level plus (optionally) the
-factorization of its primitive part, and an integrity checksum.  Resuming
-validates the checksum and the config hash, then reuses the values and
-factorizations without recomputation; a corrupted or edited line is rejected
-with its line number.
+Each line holds one factorization (sign, prime powers, unsplit cofactor,
+certified flag), the factoring budget it was made under, and an integrity
+checksum.  A factorization is looked up by the integer it reconstructs, so it
+is checked against that number and nothing else: a store written by a scan of
+another map, or another starting point, does no harm.  Factoring is
+deterministic, so an entry made under the current budget is exactly what a
+fresh run would compute.  A corrupted or edited line, or a line of another
+format, is rejected with its line number.
 """
 
 from __future__ import annotations
@@ -12,54 +15,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from .errors import CacheError
 from .intplaces import FactoredValue, from_decimal, to_decimal
-from .maps import INFINITY
 
 ENV_CACHE_DIR = "ORBITPRIMES_CACHE_DIR"
 
-
-def config_hash(field: str, map_str: str, alpha_str: str) -> str:
-    payload = f"{field}|{map_str}|{alpha_str}".encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+_FIELDS = {"budget", "sign", "prime_powers", "cofactor", "certified"}
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    map_hash: str
-    n: int
-    numer: int
-    denom: int
-    factored: Optional[FactoredValue] = None
-
-    @property
-    def value(self):
-        if self.denom == 0:
-            return INFINITY
-        return Fraction(self.numer, self.denom)
-
-
-def _entry_payload(entry: CacheEntry) -> dict:
-    payload = {
-        "map_hash": entry.map_hash,
-        "n": entry.n,
-        "numer": to_decimal(entry.numer),
-        "denom": to_decimal(entry.denom),
-        "factor_data": None,
+def _payload(fac: FactoredValue, budget: int) -> dict:
+    return {
+        "budget": budget,
+        "sign": fac.sign,
+        "prime_powers": [[to_decimal(p), e] for p, e in fac.prime_powers],
+        "cofactor": None if fac.cofactor is None else to_decimal(fac.cofactor),
+        "certified": fac.certified,
     }
-    if entry.factored is not None:
-        fac = entry.factored
-        payload["factor_data"] = {
-            "sign": fac.sign,
-            "prime_powers": [[to_decimal(p), e] for p, e in fac.prime_powers],
-            "cofactor": None if fac.cofactor is None else to_decimal(fac.cofactor),
-            "certified": fac.certified,
-        }
-    return payload
 
 
 def _checksum(payload: dict) -> str:
@@ -67,7 +39,8 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _parse_line(line: str, line_number: int) -> CacheEntry:
+def _parse_line(line: str, line_number: int):
+    """(budget, factorization) of one line."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -80,67 +53,53 @@ def _parse_line(line: str, line_number: int) -> CacheEntry:
             f"line {line_number}: checksum mismatch (corrupted or edited record)",
             line_number,
         )
-    try:
-        factored = None
-        if obj.get("factor_data") is not None:
-            fd = obj["factor_data"]
-            factored = FactoredValue(
-                sign=fd["sign"],
-                prime_powers=tuple((from_decimal(p), int(e)) for p, e in fd["prime_powers"]),
-                cofactor=None if fd["cofactor"] is None else from_decimal(fd["cofactor"]),
-                certified=fd["certified"],
-            )
-        return CacheEntry(
-            map_hash=obj["map_hash"],
-            n=int(obj["n"]),
-            numer=from_decimal(obj["numer"]),
-            denom=from_decimal(obj["denom"]),
-            factored=factored,
+    if set(obj) != _FIELDS:
+        raise CacheError(
+            f"line {line_number}: not a factorization record "
+            "(a cache file of the older orbit-value format?)",
+            line_number,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    try:
+        fac = FactoredValue(
+            sign=obj["sign"],
+            prime_powers=tuple((from_decimal(p), int(e)) for p, e in obj["prime_powers"]),
+            cofactor=None if obj["cofactor"] is None else from_decimal(obj["cofactor"]),
+            certified=obj["certified"],
+        )
+        return int(obj["budget"]), fac
+    except (ValueError, TypeError) as exc:
         raise CacheError(f"line {line_number}: malformed record ({exc})", line_number)
 
 
 class OrbitCache:
-    """Append-only JSON-lines store for one orbit scan."""
+    """Append-only JSON-lines store of the factorizations an orbit scan made."""
 
     def __init__(self, path: str):
         self.path = path
 
-    def load(self, expected_hash: str) -> list:
-        """Read and validate all entries; refuse a config-hash mismatch."""
+    def load(self, budget: int) -> dict:
+        """{number: factorization} for the entries made under `budget`, after
+        validating every line.  An entry whose cofactor a listed prime still
+        divides (an under-counted exponent) is left out, to be refactored."""
         if not os.path.exists(self.path):
-            return []
-        entries = []
+            return {}
+        known = {}
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = _parse_line(line, line_number)
-                if entry.map_hash != expected_hash:
-                    raise CacheError(
-                        f"line {line_number}: cache belongs to a different "
-                        f"map/alpha configuration (hash {entry.map_hash} != "
-                        f"{expected_hash}); refusing to resume",
-                        line_number,
-                    )
-                entries.append(entry)
-        entries.sort(key=lambda e: e.n)
-        for idx, entry in enumerate(entries, start=1):
-            if entry.n != idx:
-                raise CacheError(
-                    f"cache levels are not contiguous from 1 (found n={entry.n} "
-                    f"at position {idx})"
-                )
-        return entries
+                made_under, fac = _parse_line(line, line_number)
+                if made_under == budget and all((fac.cofactor or 1) % p for p in fac.primes()):
+                    known[fac.reconstruct()] = fac
+        return known
 
-    def append(self, entries) -> None:
+    def append(self, factorizations, budget: int) -> None:
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            for entry in entries:
-                payload = _entry_payload(entry)
+            for fac in factorizations:
+                payload = _payload(fac, budget)
                 payload["check"] = _checksum(payload)
                 fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
                 fh.write("\n")

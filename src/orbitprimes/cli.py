@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import abclab, galois, reports, zsigmondy
-from .cache import ENV_CACHE_DIR, CacheEntry, OrbitCache, config_hash
+from .cache import ENV_CACHE_DIR, OrbitCache
 from .errors import (
     BadPrimeError,
     CacheError,
@@ -34,7 +34,6 @@ from .maps import (
     RationalMapFF,
     as_point,
     point_str,
-    point_to_pair,
 )
 
 
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     field(p)
     p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
-    p.add_argument("--cache", help="orbit cache file (JSON lines)")
 
     p = sub.add_parser("zsigmondy", help="primitive prime divisor scan")
     common(p)
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
     p.add_argument("--squarefree-max-n", type=int, default=zsigmondy.DEFAULT_SQUAREFREE_DEPTH)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", help="orbit cache file (JSON lines)")
+    p.add_argument("--cache", help="factorization cache file (JSON lines)")
 
     p = sub.add_parser("height", help="Weil height of a point")
     p.add_argument("--point", required=True)
@@ -181,74 +179,65 @@ def _build_map(args):
     return RationalMap.parse(args.map)
 
 
-def _run_orbit_like(args, want_zsigmondy: bool):
+def _run_orbit(args):
     rmap = _build_map(args)
     alpha = _parse_point(args.alpha, args.field)
-    seed_values = None
-    factor_cache = None
-    cache = None
-    chash = None
-    cache_path = _cache_path(getattr(args, "cache", None))
-    if cache_path:
-        if args.field == "qt":
-            raise _UsageError("the orbit cache is supported over Q only")
-        cache = OrbitCache(cache_path)
-        chash = config_hash(args.field, rmap.to_string(), point_str(alpha))
-        entries = cache.load(chash)
-        seed_values = [e.value for e in entries]
-        factor_cache = {e.n: e.factored for e in entries if e.factored is not None}
     config = {
-        "command": "zsigmondy" if want_zsigmondy else "orbit",
+        "command": "orbit",
         "map": args.map,
         "alpha": args.alpha,
         "field": args.field,
         "max_n": args.max_n,
     }
-    if want_zsigmondy:
-        report = zsigmondy.zsigmondy_report(
-            rmap,
-            alpha,
-            depth=args.max_n,
-            budget=_budget(args),
-            squarefree_depth=args.squarefree_max_n,
-            seed_values=seed_values,
-            factor_cache=factor_cache,
-        )
-        config["squarefree_max_n"] = args.squarefree_max_n
-        built = reports.build_zsigmondy(report, config)
-        records = report.records
-    else:
-        records, termination = zsigmondy.orbit(
-            rmap, alpha, args.max_n, seed_values=seed_values
-        )
-        field = "Q" if args.field == "q" else "Q(t)"
-        built = reports.build_orbit(
-            rmap.to_string(), point_str(alpha), field, records, termination, config
-        )
+    records, termination = zsigmondy.orbit(rmap, alpha, args.max_n)
+    field = "Q" if args.field == "q" else "Q(t)"
+    return reports.build_orbit(
+        rmap.to_string(), point_str(alpha), field, records, termination, config
+    )
+
+
+def _run_zsigmondy(args):
+    rmap = _build_map(args)
+    alpha = _parse_point(args.alpha, args.field)
+    budget = _budget(args)
+    cache = None
+    known = {}
+    cache_path = _cache_path(args.cache)
+    if cache_path:
+        if args.field == "qt":
+            raise _UsageError("the factorization cache is supported over Q only")
+        cache = OrbitCache(cache_path)
+        known = cache.load(budget)
+    config = {
+        "command": "zsigmondy",
+        "map": args.map,
+        "alpha": args.alpha,
+        "field": args.field,
+        "max_n": args.max_n,
+        "squarefree_max_n": args.squarefree_max_n,
+    }
+    report = zsigmondy.zsigmondy_report(
+        rmap,
+        alpha,
+        depth=args.max_n,
+        budget=budget,
+        squarefree_depth=args.squarefree_max_n,
+        factor_cache=known,
+    )
     if cache is not None:
-        known = len(seed_values or [])
-        new_entries = []
-        for rec in records:
-            if rec.n <= known:
-                continue
-            numer, denom = point_to_pair(rec.value)
-            new_entries.append(
-                CacheEntry(
-                    map_hash=chash,
-                    n=rec.n,
-                    numer=numer,
-                    denom=denom,
-                    factored=rec.factored,
-                )
-            )
-        cache.append(new_entries)
-    return built
+        made = {rec.primitive_part: rec.factored for rec in report.records
+                if rec.factored is not None and rec.primitive_part not in known}
+        cache.append(made.values(), budget)
+    return reports.build_zsigmondy(report, config)
 
 
 def dispatch(args) -> dict:
     command = args.command
-    if command in ("orbit", "zsigmondy"):
-        return _run_orbit_like(args, want_zsigmondy=command == "zsigmondy")
+    if command == "orbit":
+        return _run_orbit(args)
+
+    if command == "zsigmondy":
+        return _run_zsigmondy(args)
 
     if command == "height":
         config = {"command": "height", "point": args.point, "field": args.field}

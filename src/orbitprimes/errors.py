@@ -26,7 +26,7 @@ class ResourceCapError(RuntimeError):
 
 
 class CacheError(ValueError):
-    """Raised on a corrupted or mismatched orbit cache file."""
+    """Raised on a corrupted, edited or old-format cache file."""
 
     def __init__(self, message, line_number=None):
         super().__init__(message)

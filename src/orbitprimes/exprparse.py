@@ -114,6 +114,7 @@ class _Parser:
         return rf
 
     def _add(self, a, b, position, sign=1):
+        self._check_literal_product(((a.num, b.den), (b.num, a.den), (a.den, b.den)), position)
         rhs = b.num if sign == 1 else polys.neg(b.num)
         num = polys.add(polys.mul(a.num, b.den), polys.mul(rhs, a.den))
         return self._check_size(_RF(num, polys.mul(a.den, b.den)), position)
@@ -133,10 +134,11 @@ class _Parser:
         )
 
     def _check_literal_product(self, sides, position):
-        """Refuse a product of rational constants before multiplying when, on
-        its numerator or its denominator side, the sum of (bit_length(c) - 1)
-        over the two integers c there, a lower bound on the bits of their
-        product, passes the digit cap.  The parser's constants over Q are
+        """Refuse arithmetic on rational constants before multiplying when, on
+        any side (numerator and denominator of a product or quotient; the two
+        cross products and the common denominator of a sum), the sum of
+        (bit_length(c) - 1) over the two integers c there, a lower bound on
+        the bits of their product, passes the digit cap.  The parser's constants over Q are
         integers; the two sides are bounded apart, so a value such as
         2^3000000 / 3^1800000, whose height is under the cap, still parses."""
         if not all(len(f) == 1 and isinstance(f[0], (int, Fraction)) for side in sides for f in side):

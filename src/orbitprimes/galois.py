@@ -120,9 +120,9 @@ class GaloisTowerRecord:
         return self.status == "certified" or self.stoll_guarantee
 
 
-def _check_admissible(a: int, depth: int):
-    """f(0), ..., f^depth(0); a repeated value within that depth is an error
-    naming the step where it shows."""
+def _check_admissible(a: int, depth: int) -> OrbitWalk:
+    """The orbit of 0 walked to f^depth(0); a repeated value within that
+    depth is an error naming the step where it shows."""
     if a == 0:
         raise ValueError("a must be nonzero")
     walk = _critical_walk(a, depth)
@@ -131,11 +131,11 @@ def _check_admissible(a: int, depth: int):
             f"0 is preperiodic for x^2 + ({a}) within depth {walk.tail + walk.period}; "
             "the certificate search does not apply"
         )
-    return [v.numerator for v in walk.values[1:]]
+    return walk
 
 
 def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
-                      critical_values=None) -> GaloisTowerRecord:
+                      critical_walk: Optional[OrbitWalk] = None) -> GaloisTowerRecord:
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
     valuation 0 at every earlier critical value.
 
@@ -144,18 +144,19 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
     the earlier values can contain a certificate, and gcd-stripping
     preserves the exponents of the surviving primes, so only that part is
     factored.  The orbit is that of 0 itself and x^2 + a has resultant 1,
-    so the strip reads its divisors off the same values.
-    `critical_values` passes f(0), ..., f^(n+1)(0) from an admissible walk
+    so the strip reads its divisors off the same walk.
+    `critical_walk` passes an admissible walk of 0 to at least f^(n+1)(0)
     that was already made.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    values = critical_values if critical_values is not None else _check_admissible(a, n + 1)
+    walk = critical_walk if critical_walk is not None else _check_admissible(a, n + 1)
+    values = [v.numerator for v in walk.values[1 : n + 2]]
     # a certificate is odd: 2 is stripped first, then the earlier values
     odd = abs(values[-1])
     odd >>= (odd & -odd).bit_length() - 1
     records = [OrbitRecord(n=k, value=v) for k, v in enumerate(values[:-1] + [odd], start=1)]
-    part = primitive_part(records, n + 1, ZeroOrbit(_quadratic_map(a), values))
+    part = primitive_part(records, n + 1, ZeroOrbit(_quadratic_map(a), walk))
     certificate, unresolved, fac = squarefree_primitive_prime(part, budget=budget)
     if certificate is not None:
         _validate_certificate(certificate, values)
@@ -189,6 +190,6 @@ def tower_report(a: int, max_level: int, budget: int = DEFAULT_BUDGET):
     the critical orbit."""
     if max_level < 0:
         return []
-    values = _check_admissible(a, max_level + 1)
-    return [stoll_certificate(a, n, budget=budget, critical_values=values[: n + 1])
+    walk = _check_admissible(a, max_level + 1)
+    return [stoll_certificate(a, n, budget=budget, critical_walk=walk)
             for n in range(max_level + 1)]

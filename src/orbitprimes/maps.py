@@ -774,11 +774,10 @@ class OrbitWalk:
     earlier phi^tail(alpha) sets `tail` and `period`; from then on the cycle
     is replayed without arithmetic.  The walk ends only when the next value
     would exceed the map's digit cap: `cap_error` then holds the
-    ResourceCapError.  `seed_values` replays already-known values phi^1,
-    phi^2, ... (a cache resume) instead of evaluating them.
+    ResourceCapError.
     """
 
-    def __init__(self, rmap, alpha, seed_values=()):
+    def __init__(self, rmap, alpha):
         if not isinstance(rmap, RationalMapFF):
             alpha = as_point(alpha)
         elif alpha is not INFINITY:
@@ -788,7 +787,6 @@ class OrbitWalk:
         self.period = None
         self.cap_error = None
         self._rmap = rmap
-        self._seeds = list(seed_values)
         self._first_index = {alpha: 0}
 
     def __iter__(self):
@@ -798,8 +796,6 @@ class OrbitWalk:
         n = len(self.values)
         if self.tail is not None:
             value = self.values[self.tail + (n - self.tail) % self.period]
-        elif n <= len(self._seeds):
-            value = self._seeds[n - 1]
         else:
             try:
                 value = self._rmap.evaluate(self.values[-1])

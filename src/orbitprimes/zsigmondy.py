@@ -152,18 +152,17 @@ class OrbitRecord:
     factored: Optional[FactoredValue] = None
 
 
-def orbit(rmap, alpha, depth: int, seed_values=None):
+def orbit(rmap, alpha, depth: int):
     """Values phi(alpha) .. phi^depth(alpha), with early-stop bookkeeping.
 
     A repeated value closes a cycle: the remaining entries are filled from
     the cycle (no further arithmetic) and the orbit is flagged preperiodic.
     Hitting 0 on a so-far injective orbit records the unique zero index and
-    stops; the size cap stops with whatever was computed.
-
-    `seed_values` replays already-known values phi^1.. without recomputing
-    them (cache resume); all bookkeeping still runs over the seeds.
+    stops; the size cap stops with whatever was computed.  The orbit is
+    always walked afresh: only factorizations are worth caching, and the
+    cache keys them by the number.
     """
-    walk = OrbitWalk(rmap, alpha, seed_values or ())
+    walk = OrbitWalk(rmap, alpha)
     records = []
     for n, value in islice(walk, depth):
         records.append(OrbitRecord(n=n, value=value))
@@ -186,14 +185,14 @@ class ZeroOrbit:
     """What a level is stripped against over Q: the orbit of 0 under the map
     and the resultant of its integral model (see the module docstring).
 
-    `walk` is one lazy `OrbitWalk` of 0, advanced only as far as a strip
-    asks; `seed_values` replays phi(0), phi^2(0), ... when they are known.
+    `walk` is one lazy `OrbitWalk` of 0 under the map, advanced only as far
+    as a strip asks; pass one that was already made to share its values.
     """
 
     domain = _IntValues
 
-    def __init__(self, rmap: RationalMap, seed_values=()):
-        self.walk = OrbitWalk(rmap, 0, seed_values)
+    def __init__(self, rmap: RationalMap, walk: Optional[OrbitWalk] = None):
+        self.walk = walk if walk is not None else OrbitWalk(rmap, 0)
         self._rmap = rmap
         self._bad = abs(rmap.resultant)
 
@@ -299,14 +298,12 @@ def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
     exponent-1 prime among them is the answer and rho is skipped; the
     factorization returned with it is then None, since none was completed.
 
-    `precomputed` (from a cache) is used only if it reconstructs the current
-    primitive part exactly and no listed prime divides its cofactor (an
-    under-counted exponent); anything else is silently refactored.
+    `precomputed` is a factorization of `part` made under the same budget
+    (from the cache), used instead of factoring again.
     """
     if part == 1:
         return None, False, None
-    if precomputed is not None and precomputed.reconstruct() == part and all(
-            (precomputed.cofactor or 1) % p for p in precomputed.primes()):
+    if precomputed is not None:
         fac = precomputed
     else:
         engine = factor_engine(part, budget=budget)
@@ -376,7 +373,6 @@ def zsigmondy_report(
     depth: int = DEFAULT_PRIMITIVE_DEPTH,
     budget: int = DEFAULT_BUDGET,
     squarefree_depth: int = DEFAULT_SQUAREFREE_DEPTH,
-    seed_values=None,
     factor_cache=None,
 ) -> ZsigmondyReport:
     """Scan an orbit for primitive and square-free primitive prime divisors.
@@ -385,13 +381,13 @@ def zsigmondy_report(
     the orbit, wandering vs preperiodic, the ramification verdict) so a
     reader can see whether an observed exception is explained.
 
-    `seed_values` and `factor_cache` come from the orbit cache: known values
-    and primitive-part factorizations are reused instead of recomputed.
+    `factor_cache` maps a primitive part to its factorization made under
+    `budget` (from the cache); those parts are not factored again.
     """
     basis = _EveryEarlier if isinstance(rmap, RationalMapFF) else ZeroOrbit(rmap)
     domain = basis.domain
     factor_cache = factor_cache or {}
-    records, termination = orbit(rmap, alpha, depth, seed_values=seed_values)
+    records, termination = orbit(rmap, alpha, depth)
     analyzable = [rec for rec in records
                   if rec.value is not INFINITY and rec.value != 0]
     for rec in analyzable:
@@ -402,7 +398,7 @@ def zsigmondy_report(
     if domain is _IntValues:
         for rec in sf_records:
             prime, unresolved, fac = squarefree_primitive_prime(
-                rec.primitive_part, budget=budget, precomputed=factor_cache.get(rec.n),
+                rec.primitive_part, budget=budget, precomputed=factor_cache.get(rec.primitive_part),
             )
             rec.squarefree_witness = prime
             rec.squarefree_unresolved = unresolved

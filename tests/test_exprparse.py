@@ -130,3 +130,16 @@ def test_product_literals_meet_the_digit_cap_before_multiplying():
     assert as_point("(1/2^1650000)/2^1650000") == Fraction(1, 2**3300000)
     # height 2^3000000, under the cap, though the two heights sum past it
     assert as_point("2^3000000/3^1800000") == Fraction(2**3000000, 3**1800000)
+
+
+def test_sum_literals_meet_the_digit_cap_before_multiplying():
+    # a sum cross-multiplies: a.num * b.den, b.num * a.den and a.den * b.den
+    # are each bounded like a product
+    with pytest.raises(ResourceCapError, match="product literal exceeds .* near position 11"):
+        as_point("1/2^3000000+1/2^3000000")
+    with pytest.raises(ResourceCapError, match="product literal"):
+        as_point("1/3^2000000-1/2^2000000")
+    with pytest.raises(ResourceCapError, match="product literal"):
+        as_point("2^2000000+1/2^2000000")
+    # 3000000 bits, under the cap (3330064 bits)
+    assert as_point("1/2^1500000+1/2^1500000") == Fraction(1, 2**1499999)

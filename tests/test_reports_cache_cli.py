@@ -7,18 +7,18 @@ import sys
 
 import pytest
 
-from orbitprimes import RationalMap, reports
-from orbitprimes.cache import CacheEntry, OrbitCache, config_hash
+from orbitprimes import reports
+from orbitprimes.cache import OrbitCache
 from orbitprimes.errors import CacheError, InvariantError
-from orbitprimes.intplaces import FactoredValue
+from orbitprimes.intplaces import DEFAULT_BUDGET, FactoredValue
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     cmd = [sys.executable, "-m", "orbitprimes.cli", *args]
     merged = dict(os.environ)
     if env:
         merged.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=merged)
+    return subprocess.run(cmd, capture_output=True, text=True, env=merged, timeout=timeout)
 
 
 # -- schema --------------------------------------------------------------------
@@ -92,41 +92,39 @@ def test_rational_rendering():
 
 # -- cache -----------------------------------------------------------------------
 
-def make_entries(chash):
-    fac = FactoredValue(sign=1, prime_powers=((13, 1),), cofactor=None)
+BUDGET = 10000
+
+
+def make_factorizations():
     return [
-        CacheEntry(map_hash=chash, n=1, numer=2, denom=1),
-        CacheEntry(map_hash=chash, n=2, numer=5, denom=1),
-        CacheEntry(map_hash=chash, n=3, numer=26, denom=1, factored=fac),
+        FactoredValue(sign=1, prime_powers=((2, 1),)),
+        FactoredValue(sign=1, prime_powers=((5, 2), (13, 1)), cofactor=1000073001431003663),
+        FactoredValue(sign=-1, prime_powers=((3, 4),), certified=False),
     ]
 
 
 def test_cache_roundtrip(tmp_path):
-    chash = config_hash("q", "x^2 + 1", "1")
+    # p listed once while it still divides the cofactor: an under-counted
+    # exponent, left out on load
+    p, q = 93604463, 2200367677
+    stale = FactoredValue(sign=1, prime_powers=((p, 1),), cofactor=p * q)
     cache = OrbitCache(str(tmp_path / "orbit.jsonl"))
-    cache.append(make_entries(chash))
-    loaded = cache.load(chash)
-    assert loaded == make_entries(chash)
-
-
-def test_cache_rejects_other_config(tmp_path):
-    chash = config_hash("q", "x^2 + 1", "1")
-    cache = OrbitCache(str(tmp_path / "orbit.jsonl"))
-    cache.append(make_entries(chash))
-    with pytest.raises(CacheError):
-        cache.load(config_hash("q", "x^2 + 2", "1"))
+    cache.append([stale, *make_factorizations()], BUDGET)
+    loaded = cache.load(BUDGET)
+    assert loaded == {fac.reconstruct(): fac for fac in make_factorizations()}
+    # entries made under another budget are validated but not returned
+    assert cache.load(BUDGET + 1) == {}
 
 
 def test_cache_tamper_detection(tmp_path):
-    chash = config_hash("q", "x^2 + 1", "1")
     path = tmp_path / "orbit.jsonl"
     cache = OrbitCache(str(path))
-    cache.append(make_entries(chash))
+    cache.append(make_factorizations(), BUDGET)
     lines = path.read_text().splitlines()
-    lines[1] = lines[1].replace('"numer":"5"', '"numer":"7"')
+    lines[1] = lines[1].replace('["13",1]', '["17",1]')
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError) as info:
-        cache.load(chash)
+        cache.load(BUDGET)
     assert info.value.line_number == 2
 
 
@@ -134,17 +132,8 @@ def test_cache_invalid_json_names_line(tmp_path):
     path = tmp_path / "orbit.jsonl"
     path.write_text('{"ok": tru\n')
     with pytest.raises(CacheError) as info:
-        OrbitCache(str(path)).load("anything")
+        OrbitCache(str(path)).load(BUDGET)
     assert info.value.line_number == 1
-
-
-def test_cache_gap_detection(tmp_path):
-    chash = config_hash("q", "x^2 + 1", "1")
-    cache = OrbitCache(str(tmp_path / "orbit.jsonl"))
-    entries = make_entries(chash)
-    cache.append([entries[0], entries[2]])  # skip n=2
-    with pytest.raises(CacheError):
-        cache.load(chash)
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -169,11 +158,33 @@ def test_cli_cache_cold_warm_identical_with_early_stops(tmp_path):
             "--squarefree-max-n", "8", "--cache", str(cache_file))
     cold = run_cli(*args)
     assert cold.returncode == 0, cold.stderr
-    stored = [json.loads(line)["factor_data"] for line in cache_file.read_text().splitlines()]
-    assert stored[5:] == [None, None, None] and None not in stored[:5]
+    stored = cache_file.read_text()
+    # the primitive parts of levels 1..5
+    assert set(OrbitCache(str(cache_file)).load(DEFAULT_BUDGET)) == {2, 5, 13, 677, 45833}
     warm = run_cli(*args)
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
+    assert cache_file.read_text() == stored  # nothing new to append
+
+
+def test_cli_resume_after_another_budget_or_map(tmp_path):
+    # level 7 of x^2+3 from 1 is unresolved at budget 0 and not at 20000;
+    # a factorization is reused only under the budget that made it, and a
+    # store written for another map is checked against the numbers alone
+    scan = ("zsigmondy", "--max-n", "9", "--squarefree-max-n", "9")
+    target = ("--map", "x^2+3", "--alpha", "1", "--budget", "20000")
+    fresh = run_cli(*scan, *target)
+    assert fresh.returncode == 0, fresh.stderr
+    assert json.loads(fresh.stdout)["data"]["squarefree_unresolved"] == [8, 9]
+    earlier_runs = [("--map", "x^2+3", "--alpha", "1", "--budget", "0"),
+                    ("--map", "x^2+5", "--alpha", "2", "--budget", "20000")]
+    for k, earlier in enumerate(earlier_runs):
+        cache_file = str(tmp_path / f"orbit-{k}.jsonl")
+        first = run_cli(*scan, *earlier, "--cache", cache_file)
+        assert first.returncode == 0, first.stderr
+        resumed = run_cli(*scan, *target, "--cache", cache_file)
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == fresh.stdout, earlier
 
 
 def test_cli_resume_refactors_undercounted_cache(tmp_path):
@@ -187,9 +198,7 @@ def test_cli_resume_refactors_undercounted_cache(tmp_path):
     fresh = run_cli(*args)
     assert fresh.returncode == 0, fresh.stderr
     stale = FactoredValue(sign=1, prime_powers=((p, 1),), cofactor=p * q * r)
-    chash = config_hash("q", RationalMap.parse(f"x^2+{c}").to_string(), "0")
-    OrbitCache(str(cache_file)).append(
-        [CacheEntry(map_hash=chash, n=1, numer=c, denom=1, factored=stale)])
+    OrbitCache(str(cache_file)).append([stale], 10000)
     resumed = run_cli(*args, "--cache", str(cache_file))
     assert resumed.returncode == 0, resumed.stderr
     data = json.loads(resumed.stdout)["data"]
@@ -200,7 +209,7 @@ def test_cli_resume_refactors_undercounted_cache(tmp_path):
 
 def test_cli_cache_env_dir(tmp_path):
     proc = run_cli(
-        "orbit", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
+        "zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
         "--cache", "sub.jsonl", env={"ORBITPRIMES_CACHE_DIR": str(tmp_path)},
     )
     assert proc.returncode == 0
@@ -218,16 +227,44 @@ def test_cli_exit_codes():
 
     with tempfile.TemporaryDirectory() as d:
         cache_file = os.path.join(d, "c.jsonl")
-        run_cli("orbit", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
+        run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
                 "--cache", cache_file)
         with open(cache_file) as fh:
             content = fh.read()
         with open(cache_file, "w") as fh:
-            fh.write(content.replace('"numer":"2"', '"numer":"3"'))
-        proc = run_cli("orbit", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
+            fh.write(content.replace('["2",1]', '["3",1]'))
+        proc = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
                        "--cache", cache_file)
         assert proc.returncode == 1
-        assert "line" in proc.stderr
+        assert "line 1" in proc.stderr
+
+
+def test_cli_orbit_has_no_cache(tmp_path):
+    # orbit makes no factorization, so it has nothing to store
+    cache_file = tmp_path / "orbit.jsonl"
+    proc = run_cli("orbit", "--map", "x^2+1", "--alpha", "1", "--cache", str(cache_file))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "unrecognized arguments: --cache" in proc.stderr
+    assert not cache_file.exists()
+
+
+# the older format stored the orbit values of one map per level; these two
+# lines, with valid checksums, are `orbit --map x^2+1 --alpha 1 --max-n 2`
+OLD_FORMAT_LINES = (
+    '{"check":"2ab2926792663e35","denom":"1","factor_data":null,'
+    '"map_hash":"3484f6c57cd84d07","n":1,"numer":"2"}\n'
+    '{"check":"bf23c6eb0d68ae53","denom":"1","factor_data":null,'
+    '"map_hash":"3484f6c57cd84d07","n":2,"numer":"5"}\n'
+)
+
+
+def test_cli_refuses_old_cache_format(tmp_path):
+    cache_file = tmp_path / "orbit.jsonl"
+    cache_file.write_text(OLD_FORMAT_LINES)
+    proc = run_cli("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n", "3",
+                   "--cache", str(cache_file))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: line 1: not a factorization record")
 
 
 def test_cli_budget_zero_is_a_budget():
@@ -328,12 +365,23 @@ def test_cli_power_literal_past_the_digit_cap_exit_code():
     # each factor is under the cap, their product of 9 million bits is not
     (("height", "--point", "2^3000000*2^3000000*2^3000000"), 9),
     (("zsigmondy", "--map", "x^2+2^3000000/(1/2^3000000)", "--alpha", "1"), 13),
+    # each term of a sum is under the cap, its cross products are not
+    (("height", "--point", "1/2^3000000+1/2^3000000+1/2^3000000+1/2^3000000"), 11),
+    (("height", "--point", "1/3^2000000+1/2^2000000"), 11),
 ])
 def test_cli_product_literal_past_the_digit_cap_exit_code(args, position):
-    proc = run_cli(*args)
+    # refused before any multiplication, so quickly
+    proc = run_cli(*args, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("resource cap: product literal") and \
         f"near position {position}" in proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["--max-degree", "--coeff-bound"])
+def test_cli_roth_scan_qt_rejects_negative_sample_bounds(bound):
+    proc = run_cli("roth-scan", "--F", "x^3-t", "--field", "qt", bound, "-1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: max degree and coefficient bound must be >= 0\n"
 
 
 def test_cli_formats():
@@ -371,18 +419,19 @@ def test_big_integers_keep_the_interpreter_digit_guard(tmp_path):
     script = """
 import sys
 limit = sys.get_int_max_str_digits()
-from orbitprimes.cache import CacheEntry, OrbitCache
+from orbitprimes.cache import OrbitCache
+from orbitprimes.intplaces import FactoredValue
 big = 7 ** 6000  # 5071 digits, over the default guard of 4300
+fac = FactoredValue(sign=-1, prime_powers=((3, 2),), cofactor=big)
 cache = OrbitCache(sys.argv[1])
-cache.append([CacheEntry(map_hash="h", n=1, numer=-big, denom=big + 2)])
-[entry] = cache.load("h")
-assert (entry.numer, entry.denom) == (-big, big + 2)
+cache.append([fac], 0)
+assert cache.load(0) == {-9 * big: fac}
 import orbitprimes.cli  # imports every module, reports included
 from orbitprimes.maps import point_str
-rendered = point_str(entry.value)
+rendered = point_str(-9 * big)
 assert sys.get_int_max_str_digits() == limit
 sys.set_int_max_str_digits(0)
-assert rendered == f"{-big}/{big + 2}"
+assert rendered == str(-9 * big)
 """
     proc = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=4300", "-c", script,

@@ -79,15 +79,6 @@ def test_orbit_infinity_is_a_fixed_cycle():
     assert term.period == 1
 
 
-def test_orbit_seed_replay_matches_fresh():
-    m = RationalMap.parse("x^2+1")
-    fresh, term = orbit(m, 1, 8)
-    seeds = [r.value for r in fresh[:5]]
-    resumed, term2 = orbit(m, 1, 8, seed_values=seeds)
-    assert [r.value for r in resumed] == [r.value for r in fresh]
-    assert term2.kind == term.kind
-
-
 # -- primitive parts ------------------------------------------------------------
 
 def test_primitive_part_examples():
