@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -162,15 +163,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Counts of levels, steps or effort must be >= 0, and these floats positive
+# and finite (a JSON report holds no infinity); checked once, before any work.
+_COUNTS = ("max_n", "squarefree_max_n", "max_steps", "budget")
+_FLOATS = ("tol", "epsilon")
+
+
+def _check_options(args):
+    for name in _COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= 0")
+    for name in _FLOATS:
+        if not 0 < getattr(args, name, 1.0) < math.inf:
+            raise _UsageError(f"--{name} must be positive and finite")
+
+
 def _budget(args):
     from .intplaces import DEFAULT_BUDGET
 
     budget = getattr(args, "budget", None)
-    if budget is None:
-        return DEFAULT_BUDGET
-    if budget < 0:
-        raise _UsageError("--budget must be >= 0")
-    return budget
+    return DEFAULT_BUDGET if budget is None else budget
+
+
+def _delta(args) -> float:
+    """--delta, an exact rational kept as text in the config, as a float."""
+    try:
+        return float(Fraction(args.delta))
+    except OverflowError:
+        raise _UsageError("--delta must be finite") from None
 
 
 def _build_map(args):
@@ -191,9 +212,7 @@ def _run_orbit(args):
     }
     records, termination = zsigmondy.orbit(rmap, alpha, args.max_n)
     field = "Q" if args.field == "q" else "Q(t)"
-    return reports.build_orbit(
-        rmap.to_string(), point_str(alpha), field, records, termination, config
-    )
+    return reports.build_orbit(rmap, point_str(alpha), field, records, termination, config)
 
 
 def _run_zsigmondy(args):
@@ -228,10 +247,11 @@ def _run_zsigmondy(args):
         made = {rec.primitive_part: rec.factored for rec in report.records
                 if rec.factored is not None and rec.primitive_part not in known}
         cache.append(made.values(), budget)
-    return reports.build_zsigmondy(report, config)
+    return reports.build_zsigmondy(rmap, report, config)
 
 
 def dispatch(args) -> dict:
+    _check_options(args)
     command = args.command
     if command == "orbit":
         return _run_orbit(args)
@@ -283,9 +303,8 @@ def dispatch(args) -> dict:
         rmap = RationalMap.parse(args.map)
         alpha = _parse_point(args.alpha, "q")
         F = parse_polynomial(args.F, var="x")
-        delta = float(Fraction(args.delta))
         report = zsigmondy.prop_old_diagnostic(
-            rmap, alpha, F, args.i, args.max_n, delta, budget=_budget(args)
+            rmap, alpha, F, args.i, args.max_n, _delta(args), budget=_budget(args)
         )
         config = {
             "command": "prop-old",
@@ -355,8 +374,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    fmt = getattr(args, "format", "json")
     try:
         report = dispatch(args)
+        if fmt == "json":
+            text = reports.to_json(report)
+        elif fmt == "table":
+            text = reports.to_table(report)
+        else:
+            text = reports.to_csv(report)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -370,13 +396,7 @@ def main(argv=None) -> int:
     except (InvariantError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(reports.to_json(report))
-    elif fmt == "table":
-        print(reports.to_table(report))
-    else:
-        print(reports.to_csv(report))
+    print(text)
     return 0
 
 

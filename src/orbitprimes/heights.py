@@ -120,7 +120,10 @@ class CanonicalHeightEstimate:
 def _tail_radius(c_phi: float, d: int, n: int) -> float:
     if c_phi == 0.0:
         return 0.0
-    return c_phi / (d**n * (1.0 - 1.0 / d))
+    try:
+        return c_phi / (d**n * (1.0 - 1.0 / d))
+    except OverflowError:  # d^n past the float range: divide exactly
+        return float(Fraction(c_phi) / (d**n - d ** (n - 1)))
 
 
 def _estimate_at_last(walk: OrbitWalk, c_phi: float, d: int) -> CanonicalHeightEstimate:

@@ -308,11 +308,20 @@ def _cap_bits(cap: int) -> int:
 _DECIMAL_PIECE_BITS = 2000
 _DECIMAL_PIECE_DIGITS = 600
 
+# The one context for exact decimal integers: no operation on integers
+# inside it can round, and one that would raises instead.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+
 
 @lru_cache(maxsize=None)  # j <= 10 for values inside the default digit cap
 def _decimal_pow2(j: int) -> decimal.Decimal:
     """Decimal(2 ** (_DECIMAL_PIECE_BITS << j)), squared up from j = 0; called
-    inside to_decimal's exact context."""
+    inside the EXACT context."""
     if j == 0:
         return decimal.Decimal(1 << _DECIMAL_PIECE_BITS)
     half = _decimal_pow2(j - 1)
@@ -331,20 +340,23 @@ def _as_decimal(n: int) -> decimal.Decimal:
     return _as_decimal(high) * _decimal_pow2(j) + _as_decimal(n - (high << k))
 
 
-def to_decimal(n: int) -> str:
-    """Decimal string of an integer of any size.
+def exact_decimal(n: int) -> decimal.Decimal:
+    """An integer of any size as an exact Decimal.
 
     Past one piece the binary halves are combined in exact `decimal`
     arithmetic, whose multiply is subquadratic (Brent-Zimmermann, Modern
     Computer Arithmetic, 1.7)."""
+    with decimal.localcontext(EXACT):
+        value = _as_decimal(abs(n))
+    return value.copy_negate() if n < 0 else value
+
+
+def to_decimal(n: int) -> str:
+    """Decimal string of an integer of any size, through exact_decimal past
+    one piece."""
     if n.bit_length() <= _DECIMAL_PIECE_BITS:
         return str(n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        digits = str(_as_decimal(abs(n)))
-    return "-" + digits if n < 0 else digits
+    return str(exact_decimal(n))
 
 
 def rational_to_decimal(z) -> str:

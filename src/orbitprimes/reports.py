@@ -8,14 +8,16 @@ positive denominator (plain "p" when the denominator is 1).
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 from . import polys
 from .errors import InvariantError
-from .intplaces import to_decimal
-from .maps import point_str
+from .intplaces import _DECIMAL_PIECE_BITS, EXACT, exact_decimal, to_decimal
+from .maps import INFINITY, RationalMap, point_str
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +81,106 @@ def poly_str(coeffs, var="x") -> str:
     return polys.to_string([Fraction(c) for c in coeffs], var=var)
 
 
+def _orbit_strings(rmap, records):
+    """(value, primitive part) strings of each orbit record, the part None
+    where the record has none.
+
+    Over Q one exact decimal walk renders every value above one piece (2000
+    bits) from the level before it: the map's integral forms at that level's
+    coprime (a : b), evaluated on its Decimals, give (P, Q) = g * (A_n, B_n)
+    up to sign, where g = gcd(p(a, b), q(a, b)) divides the resultant R
+    (heights.phi_height_bound) and so is read mod R on ints.  A big part is
+    |A_n| divided by the small quotient |A_n| // part.  Only the first level
+    and a level after infinity convert a big value from scratch, and every
+    big string must end in the last 18 digits of its integer."""
+    if not isinstance(rmap, RationalMap):
+        return [(value_str(rec.value),
+                 None if rec.primitive_part is None else value_str(rec.primitive_part))
+                for rec in records]
+    strings = []
+    last = None  # (a, b, Decimals of |a| and b or None) of a finite previous level
+    with decimal.localcontext(EXACT):
+        for rec in records:
+            if rec.value is INFINITY:
+                strings.append(("inf", None))
+                last = None
+                continue
+            a, b = rec.value.numerator, rec.value.denominator
+            part = rec.primitive_part
+            if max(a.bit_length(), b.bit_length()) <= _DECIMAL_PIECE_BITS:
+                decimals = None
+                text = point_str(rec.value)
+                part_text = None if part is None else to_decimal(part)
+            else:
+                if last is None:
+                    decimals = exact_decimal(abs(a)), exact_decimal(b)
+                else:
+                    decimals = _step(rmap, *last)
+                digits = _checked(decimals[0], abs(a))
+                text = ("-" if a < 0 else "") + digits
+                if b != 1:
+                    text += "/" + _checked(decimals[1], b)
+                part_text = None if part is None else _part_string(part, abs(a), decimals[0], digits)
+            strings.append((text, part_text))
+            last = a, b, decimals
+    return strings
+
+
+def _step(rmap, a: int, b: int, decimals):
+    """Decimals of the numerator's size and the denominator of phi(a / b),
+    from the forms evaluated on the Decimals of |a| and b (None for a value
+    of one piece)."""
+    if decimals is None:
+        decimals = decimal.Decimal(abs(a)), decimal.Decimal(b)
+    da, db = decimals
+    pv, qv = rmap._eval_forms(da.copy_negate() if a < 0 else da, db)
+    g = _form_content(rmap, a, b)
+    return _exact_quotient(pv.copy_abs(), g), _exact_quotient(qv.copy_abs(), g)
+
+
+def _form_content(rmap, a: int, b: int) -> int:
+    """gcd(p(a, b), q(a, b)) of the integral forms at coprime a, b: a divisor
+    of the resultant R, so read off the forms at (a mod R, b mod R)."""
+    r = abs(rmap.resultant)
+    if r == 1:
+        return 1
+    pv, qv = rmap._eval_forms(a % r, b % r)
+    return gcd(pv, qv, r)
+
+
+def _part_string(part: int, whole: int, whole_decimal, whole_digits: str) -> str:
+    """The digits of a primitive part of `whole`: its digits when they are
+    equal, else its Decimal divided by a quotient of at most one piece."""
+    if part == whole:
+        return whole_digits
+    cofactor = whole // part
+    if part.bit_length() <= _DECIMAL_PIECE_BITS or cofactor.bit_length() > _DECIMAL_PIECE_BITS:
+        return to_decimal(part)
+    return _checked(_exact_quotient(whole_decimal, cofactor), part)
+
+
+def _exact_quotient(value, divisor: int):
+    if divisor == 1:
+        return value
+    quotient, remainder = divmod(value, divisor)
+    if remainder:
+        raise InvariantError(f"decimal walk: {divisor} does not divide a rendered value")
+    return quotient
+
+
+_TAIL = 10**18
+
+
+def _checked(value, n: int) -> str:
+    """The digits of the Decimal `value`, once their last 18 agree with
+    those of the integer n >= 0 that it renders."""
+    text = str(value)
+    tail = str(n % _TAIL)
+    if text[-18:] != (tail.zfill(18) if n >= _TAIL else tail):
+        raise InvariantError(f"decimal walk: a {n.bit_length()}-bit value rendered wrong")
+    return text
+
+
 def envelope(kind: str, config: dict, data: dict) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -90,19 +192,21 @@ def envelope(kind: str, config: dict, data: dict) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    """RFC 8259 JSON: a non-finite float raises ValueError."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_orbit(map_str, alpha_str, field, records, termination, config) -> dict:
+def build_orbit(rmap, alpha_str, field, records, termination, config) -> dict:
+    strings = _orbit_strings(rmap, records)
     data = {
-        "map": map_str,
+        "map": rmap.to_string(),
         "alpha": alpha_str,
         "field": field,
-        "values": [{"n": rec.n, "value": value_str(rec.value)} for rec in records],
+        "values": [{"n": rec.n, "value": text} for rec, (text, _) in zip(records, strings)],
         "termination": _termination_dict(termination),
     }
     return envelope("orbit", config, data)
@@ -128,18 +232,18 @@ def _ramification_dict(verdict):
     }
 
 
-def build_zsigmondy(report, config) -> dict:
+def build_zsigmondy(rmap, report, config) -> dict:
     records = []
-    for rec in report.records:
+    for rec, (text, part_text) in zip(report.records, _orbit_strings(rmap, report.records)):
         row = {
             "n": rec.n,
-            "value": value_str(rec.value),
+            "value": text,
             "has_primitive": rec.has_primitive,
             "has_squarefree_primitive": rec.has_squarefree_primitive,
             "unresolved": rec.squarefree_unresolved,
         }
-        if rec.primitive_part is not None:
-            row["primitive_part"] = value_str(rec.primitive_part)
+        if part_text is not None:
+            row["primitive_part"] = part_text
         if rec.squarefree_witness is not None:
             row["squarefree_witness"] = value_str(rec.squarefree_witness)
         records.append(row)

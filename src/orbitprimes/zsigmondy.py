@@ -540,7 +540,7 @@ def prop_old_diagnostic(
 
     alpha_pt = as_point(alpha)
     rows = []
-    best = float("-inf")
+    margins = []
     for n in range(max(1, i), len(records) + 1):
         value_n = records[n - 1].value
         if value_n is INFINITY or value_n == 0:
@@ -585,7 +585,7 @@ def prop_old_diagnostic(
         mass = LogMass(value=mass_value, exact=exact, radical=radical)
         h = height_float(value_n)
         margin = mass_value - delta * h
-        best = max(best, margin)
+        margins.append(margin)
         rows.append(
             PropOldRow(
                 n=n,
@@ -603,7 +603,7 @@ def prop_old_diagnostic(
         level=i,
         delta=delta,
         rows=rows,
-        empirical_constant=best if rows else 0.0,
+        empirical_constant=max(margins, default=0.0),
         hypothesis_ok=ok,
         hypothesis_notes=tuple(notes),
     )

@@ -9,6 +9,7 @@ import pytest
 
 from orbitprimes import reports
 from orbitprimes.cache import OrbitCache
+from orbitprimes.cli import main
 from orbitprimes.errors import CacheError, InvariantError
 from orbitprimes.intplaces import DEFAULT_BUDGET, FactoredValue
 
@@ -293,6 +294,58 @@ def test_cli_rejects_nan_tolerances(args):
     proc = run_cli(*args)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "must be positive" in proc.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (("orbit", "--map", "x^2+1", "--alpha", "1", "--max-n=-2"), "--max-n"),
+    (("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--max-n=-2"), "--max-n"),
+    (("zsigmondy", "--map", "x^2+1", "--alpha", "1", "--squarefree-max-n=-1"),
+     "--squarefree-max-n"),
+    (("prop-old", "--map", "x^2+1", "--alpha", "1", "--F", "x^2+1", "--i", "1",
+      "--max-n=-1"), "--max-n"),
+    (("classify", "--map", "x^2+1", "--alpha", "1", "--max-steps=-1"), "--max-steps"),
+    (("galois-tower", "--a", "3", "--max-n=-1"), "--max-n"),
+])
+def test_cli_rejects_negative_depths(args, option, capsys):
+    # the orbit walks used to leak islice's message; galois-tower printed
+    # "a": null and --squarefree-max-n=-1 was taken
+    assert main(list(args)) == 1
+    assert capsys.readouterr() == ("", f"error: {option} must be >= 0\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("canonical-height", "--map", "x^2+1", "--alpha", "1", "--tol", "inf"),
+     "--tol must be positive and finite"),
+    (("roth-scan", "--F", "x^3+2", "--height-bound", "5", "--epsilon", "inf"),
+     "--epsilon must be positive and finite"),
+    (("prop-old", "--map", "x^2+1", "--alpha", "1", "--F", "x^2+1", "--i", "1",
+      "--max-n", "5", "--delta", "1e400"), "--delta must be finite"),
+    # finite, but delta * h(phi^n(alpha)) is not: no JSON can hold the margin
+    (("prop-old", "--map", "x^2+1", "--alpha", "1", "--F", "x^2+1", "--i", "1",
+      "--max-n", "5", "--delta", "1e308"), "Out of range float values are not JSON compliant"),
+])
+def test_cli_rejects_non_finite_floats(args, message, capsys):
+    assert main(list(args)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_cli_tiny_tol_returns_the_capped_estimate(capsys):
+    # 1e-320 used to overflow converting 2^n to a float in the target-N loop
+    data = []
+    for tol in ("1e-12", "1e-320", "5e-324"):
+        assert main(["canonical-height", "--map", "x^2+1", "--alpha", "1", "--tol", tol]) == 0
+        data.append(json.loads(capsys.readouterr().out)["data"])
+    assert data[0]["capped"] is True and data[0] == data[1] == data[2]
+
+
+def test_reports_are_strict_json(capsys):
+    with pytest.raises(ValueError):
+        reports.to_json({"value": float("-inf")})
+    # every row skipped: the empirical constant used to be -Infinity
+    assert main(["prop-old", "--map", "x^2", "--alpha", "0", "--F", "x", "--i", "1",
+                 "--max-n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["empirical_constant"] == 0.0
 
 
 def test_cli_rejects_non_ascii_digits():

@@ -4,12 +4,12 @@
     python3 tools/pool_identity.py PARENT CHANGE [WORKLOAD...]
 
 Runs each candidate command line of each workload pool in
-perfbench/workloads.py (all workloads when none is named) with
-`python -m orbitprimes.cli` from PARENT/src and from CHANGE/src.  A cache
-pair runs twice per side, cold then warm, in a fresh cache directory of its
-own.  The two sides of one command line run at the same time.  Every command
-line whose exit code, stdout or stderr differ is printed, then
-`runs=N differ=M`; the exit code is 1 when M > 0.
+perfbench/workloads.py (all workloads when none is named), then the EXTRA
+command lines below, with `python -m orbitprimes.cli` from PARENT/src and
+from CHANGE/src.  A cache pair runs twice per side, cold then warm, in a
+fresh cache directory of its own.  The two sides of one command line run at
+the same time.  Every command line whose exit code, stdout or stderr differ
+is printed, then `runs=N differ=M`; the exit code is 1 when M > 0.
 """
 
 from __future__ import annotations
@@ -25,6 +25,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 JOB_TIMEOUT_S = 600
+
+# Orbits no pool candidate has: every candidate is x^d + c with an integer
+# alpha, whose resultant is 1.  These have rational alpha and resultants
+# 49, 1024, 75 and 9 (so the forms' values share a factor g > 1), an orbit
+# through infinity, preperiodic orbits, a hit on 0 and digit-cap stops.
+EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
+    "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
+    "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
+    "orbit --map 2x^2-3/4 --alpha 3/2 --max-n 12",
+    "zsigmondy --map 2x^2-3/4 --alpha 3/2 --max-n 12 --squarefree-max-n 4 --budget 20000",
+    "zsigmondy --map (x^3+2x)/(4x^2+3) --alpha 1/2 --max-n 9 --squarefree-max-n 3 --budget 20000",
+    "orbit --map (x^2+3)/(2*x) --alpha -5/3 --max-n 14",
+    "zsigmondy --map (x^2+3)/(2*x) --alpha -5/3 --max-n 14 --squarefree-max-n 3 --budget 20000",
+    "orbit --map (2x^2+1)/(x^2-1) --alpha 1 --max-n 15",
+    "zsigmondy --map (2x^2+1)/(x^2-1) --alpha 1 --max-n 15 --squarefree-max-n 4 --budget 20000",
+    "orbit --map x^2-1 --alpha 0 --max-n 8",
+    "zsigmondy --map x^2-3/4 --alpha 1/2 --max-n 6",
+    "zsigmondy --map x^2-3x+2 --alpha 3 --max-n 5",
+    "orbit --map x^2-6 --alpha 5 --max-n 25",
+    "orbit --map 2x^2-3/4 --alpha 3/2 --max-n 30",
+    "zsigmondy --map x^2-6 --alpha 5 --max-n 25 --squarefree-max-n 2 --budget 1000",
+))
 
 
 def run_side(root: Path, job):
@@ -51,18 +73,18 @@ def main(argv) -> int:
         return 2
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     names = argv[2:] or workloads.WORKLOADS
+    jobs = [job for name in names for by_class in workloads.pool(name).values()
+            for job in by_class] + list(EXTRA)
     runs = differ = 0
     with ThreadPoolExecutor(max_workers=2) as pool:
-        for name in names:
-            for jobs in workloads.pool(name).values():
-                for job in jobs:
-                    left, right = pool.map(run_side, (parent, change), (job, job))
-                    for half, (a, b) in enumerate(zip(left, right)):
-                        runs += 1
-                        if a != b:
-                            differ += 1
-                            tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
-                            print(f"differ{tag}: {job.key}", flush=True)
+        for job in jobs:
+            left, right = pool.map(run_side, (parent, change), (job, job))
+            for half, (a, b) in enumerate(zip(left, right)):
+                runs += 1
+                if a != b:
+                    differ += 1
+                    tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
+                    print(f"differ{tag}: {job.key}", flush=True)
     print(f"runs={runs} differ={differ}")
     return 1 if differ else 0
 
