@@ -153,10 +153,11 @@ def _part_string(part: int, whole: int, whole_decimal, whole_digits: str) -> str
     equal, else its Decimal divided by a quotient of at most one piece."""
     if part == whole:
         return whole_digits
-    cofactor = whole // part
-    if part.bit_length() <= _DECIMAL_PIECE_BITS or cofactor.bit_length() > _DECIMAL_PIECE_BITS:
-        return to_decimal(part)
-    return _checked(_exact_quotient(whole_decimal, cofactor), part)
+    if part.bit_length() > _DECIMAL_PIECE_BITS:
+        cofactor = whole // part
+        if cofactor.bit_length() <= _DECIMAL_PIECE_BITS:
+            return _checked(_exact_quotient(whole_decimal, cofactor), part)
+    return to_decimal(part)
 
 
 def _exact_quotient(value, divisor: int):

@@ -26,10 +26,10 @@ import workloads  # noqa: E402
 
 JOB_TIMEOUT_S = 600
 
-# Orbits no pool candidate has: every candidate is x^d + c with an integer
-# alpha, whose resultant is 1.  These have rational alpha and resultants
-# 49, 1024, 75 and 9 (so the forms' values share a factor g > 1), an orbit
-# through infinity, preperiodic orbits, a hit on 0 and digit-cap stops.
+# Orbits no pool candidate has: every orbit over Q in the pools is of x^d + c,
+# whose resultant is 1, from an integer alpha.  These have rational alpha and
+# resultants 49, 1024, 75, 12 and 9 (so the forms' values share a factor g > 1),
+# an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
