@@ -106,30 +106,30 @@ def _orbit_strings(rmap, records):
                 last = None
                 continue
             a, b = rec.value.numerator, rec.value.denominator
-            part = rec.primitive_part
-            if max(a.bit_length(), b.bit_length()) <= _DECIMAL_PIECE_BITS:
+            whole, part = abs(a), rec.primitive_part
+            if max(whole.bit_length(), b.bit_length()) <= _DECIMAL_PIECE_BITS:
                 decimals = None
                 text = point_str(rec.value)
                 part_text = None if part is None else to_decimal(part)
             else:
                 if last is None:
-                    decimals = exact_decimal(abs(a)), exact_decimal(b)
+                    decimals = exact_decimal(whole), exact_decimal(b)
                 else:
                     decimals = _step(rmap, *last)
-                digits = _checked(decimals[0], abs(a))
+                digits = _checked(decimals[0], whole)
                 text = ("-" if a < 0 else "") + digits
                 if b != 1:
                     text += "/" + _checked(decimals[1], b)
-                part_text = None if part is None else _part_string(part, abs(a), decimals[0], digits)
+                part_text = None if part is None else _part_string(part, whole, decimals[0], digits)
             strings.append((text, part_text))
             last = a, b, decimals
     return strings
 
 
 def _step(rmap, a: int, b: int, decimals):
-    """Decimals of the numerator's size and the denominator of phi(a / b),
-    from the forms evaluated on the Decimals of |a| and b (None for a value
-    of one piece)."""
+    """Decimals of |A| and B, where A / B = phi(a / b) in lowest terms, from
+    the forms evaluated on the Decimals of |a| and b (None for a value of
+    one piece)."""
     if decimals is None:
         decimals = decimal.Decimal(abs(a)), decimal.Decimal(b)
     da, db = decimals
