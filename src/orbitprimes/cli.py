@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Counts of levels, steps or effort must be >= 0, and these floats positive
 # and finite (a JSON report holds no infinity); checked once, before any work.
-_COUNTS = ("max_n", "squarefree_max_n", "max_steps", "budget")
+_COUNTS = ("max_n", "squarefree_max_n", "max_steps", "budget", "threshold")
 _FLOATS = ("tol", "epsilon")
 
 

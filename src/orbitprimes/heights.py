@@ -7,10 +7,19 @@ container but are never mixed numerically.
 
 The height-change bound c_phi returned by phi_height_bound is rigorous on all
 of P^1(Q); the construction is documented in that function.
+
+Canonical heights over Q are sums of local parts (Call-Goldstine, J. Number
+Theory 63 (1997); Silverman, The Arithmetic of Dynamical Systems, 3.4-3.5
+and 5.9): past the small values where a preperiodic orbit must repeat, the
+archimedean part is iterated on outward-rounded dyadic balls and the part at
+the primes of the resultant on the orbit mod a power of it, so no orbit
+value is built past small height.  The exact-orbit estimator
+h(phi^N(alpha)) / d^N is the test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -19,7 +28,7 @@ from typing import Optional
 from . import polys
 from .ffplaces import FFElement, ff_height
 from .intplaces import log_fraction, log_int
-from .maps import INFINITY, OrbitWalk, RationalMap, as_point
+from .maps import INFINITY, OrbitWalk, RationalMap, _form_content, as_point, point_to_pair
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,11 @@ def phi_height_bound(rmap: RationalMap) -> float:
 
 @dataclass(frozen=True)
 class CanonicalHeightEstimate:
-    """h(phi^N(alpha)) / d^N with the rigorous geometric tail radius
-    c_phi / (d^N * (1 - 1/d)).  `capped` flags an early stop on the size cap;
+    """An interval estimate +- error_radius of the canonical height after
+    N = iterations_used terms, the tail of the rest bounded by
+    c_phi / (d^N * (1 - 1/d)).  `capped` flags a radius left above tol by the
+    precision cap or the float resolution of the estimate (or, on an orbit
+    that passes the digit cap below the wandering bound, by that cap);
     `preperiodic` flags the exact-zero fast path (a repeated orbit value)."""
 
     estimate: float
@@ -138,13 +150,23 @@ def _estimate_at_last(walk: OrbitWalk, c_phi: float, d: int) -> CanonicalHeightE
     )
 
 
+# The archimedean sum runs on integers of this many bits first, and doubles
+# them while that shrinks the radius, up to the cap.
+_START_BITS = 128
+_MAX_BITS = 4096
+
+
 def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHeightEstimate:
     """Estimate the canonical height of alpha with error radius <= tol.
 
-    The iteration count N is the minimal one whose tail radius meets tol; a
-    repeated orbit value short-circuits to an exact 0.  If the orbit hits the
-    size cap first, the best available estimate is returned with its (larger)
-    radius and the capped flag set.
+    N is the least number of terms whose tail radius meets tol (tol / 2 once
+    the local sum takes over).  The orbit is walked exactly only while
+    h(phi^n(alpha)) <= c_phi / (d - 1), which bounds the height of every
+    preperiodic point: a repeat there gives an exact 0, and reaching N
+    there gives h(phi^N(alpha)) / d^N.  The first value beta = phi^n(alpha)
+    above the bound is wandering, and hhat(alpha) = hhat(beta) / d^n is
+    summed by local decomposition (_local_estimate), which builds no orbit
+    value past beta.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -153,17 +175,199 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     target_n = 0
     while _tail_radius(c_phi, d, target_n) > tol:
         target_n += 1
+    screen = c_phi / (d - 1) + 1e-9  # a margin for the rounding of c_phi
     walk = OrbitWalk(rmap, alpha)
-    for n, _ in islice(walk, target_n):
-        if walk.tail is not None:
-            return CanonicalHeightEstimate(
-                estimate=0.0,
-                error_radius=0.0,
-                iterations_used=n,
-                c_phi=c_phi,
-                preperiodic=True,
-            )
+    n = 0
+    while walk.tail is None and n < target_n:
+        if height_float(walk.values[-1]) > screen:
+            return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
+        if next(walk, None) is None:
+            break  # the digit cap, below the wandering bound
+        n += 1
+    if walk.tail is not None:
+        return CanonicalHeightEstimate(
+            estimate=0.0,
+            error_radius=0.0,
+            iterations_used=n,
+            c_phi=c_phi,
+            preperiodic=True,
+        )
     return _estimate_at_last(walk, c_phi, d)
+
+
+def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
+    """hhat(alpha) = hhat(beta) / d^n for beta = phi^n(alpha) = (a : b) with
+    coprime integers, from the first terms of
+
+        hhat(beta) = log max(|a|, |b|) + sum_k d^-(k+1) * (t_k - log g_k).
+
+    With A_0 = (a, b) and A_(k+1) = Phi(A_k) / g_k for the integral forms
+    Phi = (p, q), t_k = log ||Phi(A_k)|| - d log ||A_k|| (sup norm) is the
+    archimedean part and g_k = gcd(p(A_k), q(A_k)), a divisor of the
+    resultant R, the part at the primes of R.  t_k lies in
+    [log(|R| / W), log L1] and log g_k in [0, log |R|], so each term lies in
+    [-c_phi, c_phi] (phi_height_bound) and the terms after the first N - n
+    change hhat(alpha) by at most _tail_radius(c_phi, d, N).  N is the least
+    count whose tail is at most tol / 2, which leaves the other half of tol
+    to the width of the interval summed.
+    """
+    d = rmap.degree
+    target_n = n
+    while _tail_radius(c_phi, d, target_n) > tol / 2:
+        target_n += 1
+    a, b = point_to_pair(beta)
+    contents = [tuple(map(_units, _log_bounds(g, 1)))
+                for g in _form_contents(rmap, a, b, target_n - n)]
+    start = _log_bounds(max(abs(a), abs(b)), 1)
+    bits, radius = _START_BITS, None
+    while True:
+        lo = hi = 0  # d^k 2^_UNIT_BITS times the sum of the first k terms
+        terms = _archimedean(rmap, a, b, target_n - n, bits)
+        for (t_lo, t_hi), (g_lo, g_hi) in zip(terms, contents):
+            lo = lo * d + _units(t_lo) - g_hi
+            hi = hi * d + _units(t_hi) - g_lo
+        k = len(terms)
+        unit = Fraction(1, d ** k << _UNIT_BITS)
+        lo = (Fraction(start[0]) + lo * unit) / d**n
+        hi = (Fraction(start[1]) + hi * unit) / d**n
+        mid = (lo + hi) / 2
+        estimate = float(mid)
+        tail = Fraction(_tail_radius(c_phi, d, n + k))
+        exact = (hi - lo) / 2 + abs(Fraction(estimate) - mid) + tail
+        last, radius = radius, float(exact)
+        if Fraction(radius) < exact:
+            radius = math.nextafter(radius, math.inf)
+        if radius <= tol or bits >= _MAX_BITS or (last is not None and radius > last / 2):
+            return CanonicalHeightEstimate(
+                estimate=estimate,
+                error_radius=radius,
+                iterations_used=n + k,
+                c_phi=c_phi,
+                capped=radius > tol,
+            )
+        bits *= 2
+
+
+# Every float is an integer multiple of 2^-1074, so of 2^-_UNIT_BITS.
+_UNIT_BITS = 1100
+
+
+def _units(x: float) -> int:
+    """x * 2^_UNIT_BITS, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (_UNIT_BITS + 1 - den.bit_length())
+
+
+def _form_contents(rmap, a: int, b: int, m: int) -> list:
+    """g_k = gcd(p(A_k), q(A_k)) for k < m along the reduced orbit A_0 = (a, b),
+    A_(k+1) = Phi(A_k) / g_k, read from (a, b) mod |R|^(m+1): each g_k
+    divides R, and a step divides it out of the values and the modulus."""
+    r = abs(rmap.resultant)
+    if r == 1:
+        return [1] * m
+    modulus = r ** (m + 1)
+    a, b = a % modulus, b % modulus
+    contents = []
+    for _ in range(m):
+        g = _form_content(rmap, a, b)
+        pv, qv = rmap._eval_forms(a, b)
+        modulus //= g
+        a, b = pv // g % modulus, qv // g % modulus
+        contents.append(g)
+    return contents
+
+
+def _archimedean(rmap, a: int, b: int, m: int, bits: int) -> list:
+    """Float bounds (lo, hi) on t_k for k < m, fewer when the box grows as
+    wide as its coordinates first.
+
+    The orbit of (a : b) is walked as a box of two integer balls (center,
+    radius) that holds a real multiple of each A_k: exact while its
+    coordinates have at most `bits` bits, after that rescaled at each step
+    so the larger coordinate is exactly 2^(bits-1) and the other is rounded
+    outward.  t_k does not change under scaling, so its bounds come from the
+    norms of the box and of the forms' values on it."""
+    d = rmap.degree
+    box = _rescaled((a, 0), (b, 0), bits)
+    terms = []
+    for _ in range(m):
+        if max(box[0][1], box[1][1]).bit_length() >= bits:
+            break  # as wide as its larger coordinate: no bound left to gain
+        image = _ball_forms(rmap, *box)
+        out_lo, out_hi = _norm_bounds(*image)
+        if out_lo <= 0:
+            break
+        in_lo, in_hi = _norm_bounds(*box)
+        terms.append((_log_bounds(out_lo, in_hi**d)[0], _log_bounds(out_hi, in_lo**d)[1]))
+        box = _rescaled(*image, bits)
+    return terms
+
+
+def _ball_forms(rmap, x, y):
+    """The forms on the box x * y of (center, radius) balls: balls holding
+    p(u, v) and q(u, v) for every (u, v) in the box.  Each monomial moves by
+    at most (|xc| + xr)^i (|yc| + yr)^j - |xc|^i |yc|^j."""
+    (xc, xr), (yc, yr) = x, y
+    pv, qv = rmap._eval_forms(xc, yc)
+    if not (xr or yr):
+        return (pv, 0), (qv, 0)
+    wide = _abs_forms(rmap, abs(xc) + xr, abs(yc) + yr)
+    tight = _abs_forms(rmap, abs(xc), abs(yc))
+    return (pv, wide[0] - tight[0]), (qv, wide[1] - tight[1])
+
+
+def _abs_forms(rmap, u: int, v: int):
+    """The forms with their coefficients made positive, at u, v >= 0."""
+    d = rmap.degree
+    u_pows = [u**i for i in range(d + 1)]
+    v_pows = [v**i for i in range(d + 1)]
+    return tuple(sum(abs(c) * u_pows[i] * v_pows[d - i] for i, c in enumerate(form))
+                 for form in (rmap._p_form, rmap._q_form))
+
+
+def _norm_bounds(x, y):
+    """Bounds on max(|u|, |v|) over the box x * y (the lower one may be <= 0)."""
+    (xc, xr), (yc, yr) = x, y
+    return max(abs(xc) - xr, abs(yc) - yr), max(abs(xc) + xr, abs(yc) + yr)
+
+
+def _rescaled(x, y, bits: int):
+    """The box x * y itself while it is exact on `bits`-bit integers; else a
+    box holding a real multiple of each of its points, with the coordinate of
+    larger lower bound (a ball without 0) exactly 2^(bits-1) and the other
+    its quotient by it times 2^(bits-1), rounded outward."""
+    (xc, xr), (yc, yr) = x, y
+    if not (xr or yr) and max(abs(xc), abs(yc)).bit_length() <= bits:
+        return x, y
+    swap = abs(yc) - yr > abs(xc) - xr
+    (xc, xr), (yc, yr) = (y, x) if swap else (x, y)
+    unit = 1 << (bits - 1)
+    ends = [(y * unit, x) for y in (yc - yr, yc + yr) for x in (xc - xr, xc + xr)]
+    q_lo = min(num // den for num, den in ends)
+    q_hi = max(-(-num // den) for num, den in ends)
+    center = (q_lo + q_hi) >> 1
+    other = (center, q_hi - center)
+    return (other, (unit, 0)) if swap else ((unit, 0), other)
+
+
+def _log_bounds(num: int, den: int):
+    """Floats lo <= log(num / den) <= hi for positive integers.  An int
+    quotient is correctly rounded, so log1p of (num - den) / den is off by at
+    most |x| / (1 + x) * 2^-53 before the libm and final roundings."""
+    try:
+        if 2 * num >= den:
+            x = (num - den) / den
+            value = math.log1p(x)
+            err = abs(x) / (1 + x) * 2**-52
+        else:
+            value = math.log(num / den)
+            err = 2**-52
+    except (OverflowError, ValueError):  # the quotient leaves the float range
+        big, small = log_int(num), log_int(den)
+        value = big - small
+        err = (abs(big) + abs(small)) * 2**-40
+    err += 4 * math.ulp(value)
+    return value - err, value + err
 
 
 @dataclass(frozen=True)

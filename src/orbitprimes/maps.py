@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, prod
+from math import ceil, gcd, prod
 from typing import Optional
 
 from . import polys
@@ -335,7 +335,10 @@ class RationalMap:
         limit = _cap_bits(self.digit_cap)
         if abs(pv).bit_length() > limit or abs(qv).bit_length() > limit:
             raise self._cap_error()
-        return Fraction(pv, qv)
+        g = _form_content(self, a, b)
+        if qv < 0:
+            g = -g
+        return _reduced_fraction(pv // g, qv // g)
 
     # -- reduction ------------------------------------------------------------
 
@@ -464,6 +467,25 @@ class RationalMap:
             depth=depth,
             threshold=threshold,
         )
+
+
+def _form_content(rmap, a: int, b: int) -> int:
+    """gcd(p(a, b), q(a, b)) of the integral forms at coprime a, b: a divisor
+    of the resultant R (heights.phi_height_bound), so read off the forms at
+    (a mod R, b mod R)."""
+    r = abs(rmap.resultant)
+    if r == 1:
+        return 1
+    pv, qv = rmap._eval_forms(a % r, b % r)
+    return gcd(pv, qv, r)
+
+
+def _reduced_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, built without the gcd that the
+    Fraction constructor would spend on it."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 def _is_power_map(rmap) -> bool:

@@ -12,12 +12,11 @@ import decimal
 import json
 from fractions import Fraction
 from importlib import resources
-from math import gcd
 
 from . import polys
 from .errors import InvariantError
 from .intplaces import _DECIMAL_PIECE_BITS, EXACT, exact_decimal, to_decimal
-from .maps import INFINITY, RationalMap, point_str
+from .maps import INFINITY, RationalMap, _form_content, point_str
 
 SCHEMA_VERSION = 1
 
@@ -136,16 +135,6 @@ def _step(rmap, a: int, b: int, decimals):
     pv, qv = rmap._eval_forms(da.copy_negate() if a < 0 else da, db)
     g = _form_content(rmap, a, b)
     return _exact_quotient(pv.copy_abs(), g), _exact_quotient(qv.copy_abs(), g)
-
-
-def _form_content(rmap, a: int, b: int) -> int:
-    """gcd(p(a, b), q(a, b)) of the integral forms at coprime a, b: a divisor
-    of the resultant R, so read off the forms at (a mod R, b mod R)."""
-    r = abs(rmap.resultant)
-    if r == 1:
-        return 1
-    pv, qv = rmap._eval_forms(a % r, b % r)
-    return gcd(pv, qv, r)
 
 
 def _part_string(part: int, whole: int, whole_decimal, whole_digits: str) -> str:

@@ -16,7 +16,8 @@ agree with.  Decimal output is split
 at powers of ten with int divmod, and map evaluation computes both forms
 before it checks the digit cap.  Good reduction is the literal
 two-condition test with its own F_p Euclid, and the height-bound constant W
-is solved against a matrix built column by column from the forms.
+is solved against a matrix built column by column from the forms.  Canonical
+heights come from h(phi^N(alpha)) / d^N on the exact orbit.
 """
 
 from fractions import Fraction
@@ -434,3 +435,38 @@ def lower_bound_norm_oracle(rmap):
         rhs[target_row] = rmap.resultant
         norm = max(norm, sum(abs(c) for c in _solve_fractions(matrix, rhs)))
     return norm
+
+
+def canonical_height_exact(rmap, alpha, tol=1e-6):
+    """The exact-orbit estimator h(phi^N(alpha)) / d^N that
+    `heights.canonical_height` used before its local decomposition: N is
+    the least count whose tail radius meets tol, a repeat gives an exact 0,
+    and the digit cap stops it early with the capped flag set."""
+    from itertools import islice
+
+    from orbitprimes.heights import (
+        CanonicalHeightEstimate,
+        _estimate_at_last,
+        _tail_radius,
+        phi_height_bound,
+    )
+    from orbitprimes.maps import OrbitWalk
+
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    c_phi = phi_height_bound(rmap)
+    d = rmap.degree
+    target_n = 0
+    while _tail_radius(c_phi, d, target_n) > tol:
+        target_n += 1
+    walk = OrbitWalk(rmap, alpha)
+    for n, _ in islice(walk, target_n):
+        if walk.tail is not None:
+            return CanonicalHeightEstimate(
+                estimate=0.0,
+                error_radius=0.0,
+                iterations_used=n,
+                c_phi=c_phi,
+                preperiodic=True,
+            )
+    return _estimate_at_last(walk, c_phi, d)

@@ -3,9 +3,12 @@ wandering/preperiodic classification."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orbitprimes import (
     INFINITY,
@@ -16,8 +19,10 @@ from orbitprimes import (
     phi_height_bound,
     weil_height,
 )
+from orbitprimes.errors import MapConstructionError
 from orbitprimes.ffplaces import FFElement
 from orbitprimes.heights import height_float
+from oracles import canonical_height_exact
 
 
 def random_point(rng, span=50):
@@ -101,37 +106,44 @@ def test_canonical_height_rejects_nan_tolerance():
 
 
 def test_capped_canonical_height_is_pinned():
-    # the values of the forms-first evaluation, which computed the refused step
+    # the exact orbit stopped at the digit cap after N = 20 with this pinned
+    # interval; the local sum reaches tol, inside it
     est = canonical_height(RationalMap.parse("x^2+11"), 3, tol=1e-9)
-    assert (est.iterations_used, est.capped, est.preperiodic) == (20, True, False)
-    assert est.estimate == 1.5046564432828453
-    assert est.error_radius == 4.739583301139832e-06
+    assert (est.capped, est.preperiodic) == (False, False)
+    assert est.error_radius <= 1e-9
+    assert abs(est.estimate - 1.5046564432828453) <= 4.739583301139832e-06 + est.error_radius
     assert est.c_phi == 2.4849066497880004
 
 
-def test_capped_step_skips_the_forms(monkeypatch):
-    calls = []
+def test_canonical_height_builds_no_big_value(monkeypatch):
+    # the exact orbit ran into the 10^6-digit cap on the first of these
+    sizes = []
     eval_forms = RationalMap._eval_forms
 
-    def counted(self, a, b):
-        calls.append((a, b))
+    def spy(self, a, b):
+        sizes.append(max(abs(a).bit_length(), abs(b).bit_length()))
         return eval_forms(self, a, b)
 
-    monkeypatch.setattr(RationalMap, "_eval_forms", counted)
-    m = RationalMap.parse("x^2+11", digit_cap=3000)
-    est = canonical_height(m, 3, tol=1e-9)
-    assert est.capped
-    # one multiply per value of the orbit, none for the refused step
-    assert len(calls) == est.iterations_used
+    monkeypatch.setattr(RationalMap, "_eval_forms", spy)
+    for expr, alpha, tol in (("x^2+11", 3, 1e-9), ("x^3+x+1/2", 1, 1e-12),
+                             ("x^2-2", Fraction(1, 3), 1e-12), ("2x^2-3/4", Fraction(3, 2), 1e-12),
+                             ("(3x^2+1)/(x^2-2)", 1, 1e-12), ("x^2+1", 1, 1e-320)):
+        sizes.clear()
+        est = canonical_height(RationalMap.parse(expr), alpha, tol=tol)
+        assert est.error_radius <= max(tol, 1e-15)
+        assert sizes and max(sizes) <= 4096
 
 
 def test_canonical_height_error_radius_formula():
+    # the radius is the tail after N terms, N the least with a tail of at
+    # most tol / 2, plus the half-width of the summed interval
     m = RationalMap.parse("x^2+1")
     est = canonical_height(m, 1, tol=1e-4)
     c = phi_height_bound(m)
     n = est.iterations_used
     expected = c / (m.degree**n * (1 - 1 / m.degree))
-    assert math.isclose(est.error_radius, expected, rel_tol=1e-12)
+    assert expected <= 0.5e-4 < 2 * expected
+    assert expected <= est.error_radius <= expected + 1e-15
 
 
 def test_canonical_height_functional_equation(corpus_maps):
@@ -164,8 +176,82 @@ def test_preperiodic_estimates_vanish():
         ("1/x^2", 1),
     ]
     for expr, alpha in pairs:
-        est = canonical_height(RationalMap.parse(expr), alpha, tol=1e-6)
-        assert est.estimate <= est.error_radius
+        for tol in (1e-6, 1e-12):
+            est = canonical_height(RationalMap.parse(expr), alpha, tol=tol)
+            assert (est.estimate, est.error_radius, est.capped) == (0.0, 0.0, False)
+
+
+def test_canonical_height_of_a_monomial_map():
+    # c_phi = 0: no term is needed and h(alpha) / 1 is exact
+    m = RationalMap.parse("x^2")
+    assert phi_height_bound(m) == 0.0
+    for alpha, value in ((2, math.log(2)), (Fraction(-5, 3), math.log(5))):
+        est = canonical_height(m, alpha, tol=1e-12)
+        assert (est.estimate, est.error_radius, est.iterations_used) == (value, 0.0, 0)
+
+
+def test_canonical_height_of_a_bounded_real_orbit():
+    # 1/3 stays in the Julia set [-2, 2] of x^2 - 2 and has good reduction
+    # everywhere but 3, so its canonical height is log 3
+    start = time.perf_counter()
+    est = canonical_height(RationalMap.parse("x^2-2"), Fraction(1, 3), tol=1e-12)
+    assert time.perf_counter() - start < 1.0
+    assert not est.capped and est.error_radius <= 1e-12
+    assert abs(est.estimate - math.log(3)) <= est.error_radius
+    # the real orbit is chaotic: a box of b bits stays narrow for about b
+    # steps, so 1e-300 (N = 998) stops capped at the float resolution
+    start = time.perf_counter()
+    est = canonical_height(RationalMap.parse("x^2-2"), Fraction(1, 3), tol=1e-300)
+    assert time.perf_counter() - start < 1.0
+    assert est.capped and est.error_radius < 1e-14
+    assert abs(est.estimate - math.log(3)) <= est.error_radius
+
+
+@pytest.mark.parametrize("expr", ["x^2+1", "x^3+x+1/2"])
+def test_canonical_height_reaches_1e_12_in_milliseconds(expr):
+    m = RationalMap.parse(expr)
+    start = time.perf_counter()
+    est = canonical_height(m, 1, tol=1e-12)
+    assert time.perf_counter() - start < 0.05
+    assert not est.capped and est.error_radius <= 1e-12
+
+
+def test_canonical_height_subtracts_the_form_contents():
+    # 2x^2 - 3/4 has forms 8x^2 - 3y^2, 4y^2 with resultant 1024, and
+    # gcd(p, q) = 8 at every value of the orbit of 3/2 past the first
+    m = RationalMap.parse("2x^2-3/4")
+    est = canonical_height(m, Fraction(3, 2), tol=1e-12)
+    slow = canonical_height_exact(m, Fraction(3, 2), tol=1e-6)
+    assert est.error_radius <= 1e-12 and slow.capped
+    assert abs(est.estimate - slow.estimate) <= est.error_radius + slow.error_radius
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(num=st.lists(small_rationals, min_size=1, max_size=4),
+       den=st.lists(small_rationals, min_size=1, max_size=4),
+       alpha=st.one_of(st.just(INFINITY),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=5)),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+@example(num=[Fraction(-3, 4), 0, 2], den=[1], alpha=Fraction(3, 2), tol=1e-12)
+@example(num=[1, 0, 3], den=[-2, 0, 1], alpha=Fraction(1), tol=1e-12)
+@example(num=[Fraction(1, 2), 1, 0, 1], den=[1], alpha=INFINITY, tol=1e-9)
+@example(num=[0, 2, 0, 1], den=[3, 0, 4], alpha=Fraction(-1, 2), tol=1e-12)
+def test_canonical_height_meets_the_exact_orbit(num, den, alpha, tol):
+    """Random degree-2/3 maps, mostly with non-unit resultants; the exact
+    orbit stops at a 3000-digit cap, and its interval stays rigorous."""
+    try:
+        m = RationalMap(num, den, digit_cap=3000)
+    except MapConstructionError:
+        assume(False)
+    est = canonical_height(m, alpha, tol=tol)
+    slow = canonical_height_exact(m, alpha, tol=1e-6)
+    assert not est.capped and est.error_radius <= tol
+    assert abs(est.estimate - slow.estimate) <= est.error_radius + slow.error_radius + 1e-12
+    if slow.preperiodic:
+        assert est == slow
 
 
 def test_classify_examples():

@@ -224,6 +224,31 @@ def test_evaluate_refuses_exactly_when_the_forms_pass_the_cap(num, den, z, cap):
         assert rmap.evaluate(z) == expected
 
 
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(num=st.lists(small_fractions, min_size=1, max_size=4),
+       den=st.lists(small_fractions, min_size=1, max_size=4), z=points_of_any_height())
+@example(num=[Fraction(-3, 4), 0, 2], den=[1], z=Fraction(3, 2))  # content 8
+@example(num=[1, 0, 3], den=[-2, 0, 1], z=Fraction(1))  # q(1, 1) < 0: -4
+@example(num=[Fraction(-1, 2), 0, Fraction(1, 2)], den=[1], z=Fraction(-1))  # p(-1, 1) = 0
+def test_evaluate_reduces_by_the_form_content(num, den, z):
+    """evaluate divides by the content read mod R and builds its Fraction
+    without a gcd; the result equals Fraction(p(a, b), q(a, b))."""
+    try:
+        rmap = RationalMap(num, den)
+    except MapConstructionError:
+        assume(False)
+    assume(abs(rmap.resultant) != 1)
+    value, expected = rmap.evaluate(z), evaluate_exact(rmap, z)
+    if expected is INFINITY:
+        assert value is INFINITY
+        return
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert hash(value) == hash(expected)
+
+
 # -- reduction ------------------------------------------------------------------
 
 def test_bad_reduction_examples():

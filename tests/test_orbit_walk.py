@@ -21,6 +21,7 @@ from orbitprimes.heights import (
     phi_height_bound,
 )
 from orbitprimes.zsigmondy import orbit
+from oracles import canonical_height_exact
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -123,21 +124,17 @@ def test_orbit_matches_naive_loop(case, depth):
 @example(case=PREPERIODIC_AT_ZERO, tol=1e-3)
 @example(case=CAPPED, tol=1e-6)
 def test_canonical_height_matches_naive_loop(case, tol):
+    # the exact-orbit estimator is the oracle: equal where the orbit repeats,
+    # reaches N or passes the digit cap below the wandering bound, and an
+    # interval meeting it where the local sum takes over
     rmap, alpha = case
-    c_phi, d = phi_height_bound(rmap), rmap.degree
-    target = 0
-    while _tail_radius(c_phi, d, target) > tol:
-        target += 1
-    values, repeat, capped = naive_walk(rmap, alpha, target)
     est = canonical_height(rmap, alpha, tol=tol)
-    if repeat is not None:
-        assert (est.preperiodic, est.iterations_used, est.estimate) == (True, repeat[0], 0.0)
+    slow = canonical_height_exact(rmap, alpha, tol=tol)
+    if est.preperiodic or slow.preperiodic or est.capped:
+        assert est == slow
         return
-    n = len(values) - 1
-    assert not est.preperiodic
-    assert (est.iterations_used, est.capped) == (n, capped)
-    assert capped or n == target
-    assert est.estimate == height_float(values[-1]) / d**n
+    assert est.error_radius <= tol
+    assert abs(est.estimate - slow.estimate) <= est.error_radius + slow.error_radius + 1e-12
 
 
 @SETTINGS

@@ -305,6 +305,7 @@ def test_cli_rejects_nan_tolerances(args):
       "--max-n=-1"), "--max-n"),
     (("classify", "--map", "x^2+1", "--alpha", "1", "--max-steps=-1"), "--max-steps"),
     (("galois-tower", "--a", "3", "--max-n=-1"), "--max-n"),
+    (("map-analyze", "--map", "x^2+1", "--threshold=-1"), "--threshold"),
 ])
 def test_cli_rejects_negative_depths(args, option, capsys):
     # the orbit walks used to leak islice's message; galois-tower printed
@@ -331,12 +332,17 @@ def test_cli_rejects_non_finite_floats(args, message, capsys):
 
 
 def test_cli_tiny_tol_returns_the_capped_estimate(capsys):
-    # 1e-320 used to overflow converting 2^n to a float in the target-N loop
-    data = []
+    # 1e-320 used to overflow converting 2^n to a float in the target-N loop;
+    # below the float resolution of the estimate the radius stays above tol
+    data = {}
     for tol in ("1e-12", "1e-320", "5e-324"):
         assert main(["canonical-height", "--map", "x^2+1", "--alpha", "1", "--tol", tol]) == 0
-        data.append(json.loads(capsys.readouterr().out)["data"])
-    assert data[0]["capped"] is True and data[0] == data[1] == data[2]
+        data[tol] = json.loads(capsys.readouterr().out)["data"]
+    sharp = data["1e-12"]
+    assert sharp["capped"] is False and sharp["error_radius"] <= 1e-12
+    for tol in ("1e-320", "5e-324"):
+        assert data[tol]["capped"] is True and data[tol]["error_radius"] < 1e-15
+        assert abs(data[tol]["estimate"] - sharp["estimate"]) <= sharp["error_radius"]
 
 
 def test_reports_are_strict_json(capsys):

@@ -9,11 +9,14 @@ command lines below, with `python -m orbitprimes.cli` from PARENT/src and
 from CHANGE/src.  A cache pair runs twice per side, cold then warm, in a
 fresh cache directory of its own.  The two sides of one command line run at
 the same time.  Every command line whose exit code, stdout or stderr differ
-is printed, then `runs=N differ=M`; the exit code is 1 when M > 0.
+is printed, then `runs=N differ=M`; the exit code is 1 when M > 0.  A
+differing canonical-height line also says whether the two (estimate, radius)
+intervals meet, as perfbench/answers.py compares them.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import answers  # noqa: E402
 import workloads  # noqa: E402
 
 JOB_TIMEOUT_S = 600
@@ -29,15 +33,17 @@ JOB_TIMEOUT_S = 600
 # Orbits no pool candidate has: every orbit over Q in the pools is of x^d + c,
 # whose resultant is 1, from an integer alpha.  These have rational alpha and
 # resultants 49, 1024, 75, 12 and 9 (so the forms' values share a factor g > 1),
-# an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops.
+# an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops;
+# the canonical heights are of the same maps, at tolerances the exact orbit
+# reaches in seconds.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
     "orbit --map 2x^2-3/4 --alpha 3/2 --max-n 12",
     "zsigmondy --map 2x^2-3/4 --alpha 3/2 --max-n 12 --squarefree-max-n 4 --budget 20000",
     "zsigmondy --map (x^3+2x)/(4x^2+3) --alpha 1/2 --max-n 9 --squarefree-max-n 3 --budget 20000",
-    "orbit --map (x^2+3)/(2*x) --alpha -5/3 --max-n 14",
-    "zsigmondy --map (x^2+3)/(2*x) --alpha -5/3 --max-n 14 --squarefree-max-n 3 --budget 20000",
+    "orbit --map (x^2+3)/(2*x) --alpha=-5/3 --max-n 14",
+    "zsigmondy --map (x^2+3)/(2*x) --alpha=-5/3 --max-n 14 --squarefree-max-n 3 --budget 20000",
     "orbit --map (2x^2+1)/(x^2-1) --alpha 1 --max-n 15",
     "zsigmondy --map (2x^2+1)/(x^2-1) --alpha 1 --max-n 15 --squarefree-max-n 4 --budget 20000",
     "orbit --map x^2-1 --alpha 0 --max-n 8",
@@ -46,6 +52,13 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map x^2-6 --alpha 5 --max-n 25",
     "orbit --map 2x^2-3/4 --alpha 3/2 --max-n 30",
     "zsigmondy --map x^2-6 --alpha 5 --max-n 25 --squarefree-max-n 2 --budget 1000",
+    "canonical-height --map (3x^2+1)/(x^2-2) --alpha 1 --tol 1e-4",
+    "canonical-height --map 2x^2-3/4 --alpha 3/2 --tol 1e-5",
+    "canonical-height --map (x^3+2x)/(4x^2+3) --alpha 1/2 --tol 1e-3",
+    "canonical-height --map (x^2+3)/(2*x) --alpha=-5/3 --tol 1e-4",
+    "canonical-height --map (2x^2+1)/(x^2-1) --alpha 1 --tol 1e-4",
+    "canonical-height --map x^2-3/4 --alpha 5/2 --tol 1e-5",
+    "canonical-height --map x^2-2 --alpha 1/3 --tol 1e-4",
 ))
 
 
@@ -67,6 +80,16 @@ def run_side(root: Path, job):
         return outcomes
 
 
+def _intervals(left: bytes, right: bytes) -> str:
+    """'meet', or what answers.compare finds, for two canonical-height reports."""
+    try:
+        reference = answers.extract(json.loads(left)).reference()
+        errors = answers.compare(reference, answers.extract(json.loads(right)))
+    except (ValueError, KeyError) as exc:
+        return f"unreadable ({exc})"
+    return "; ".join(errors) or "meet"
+
+
 def main(argv) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -85,6 +108,8 @@ def main(argv) -> int:
                     differ += 1
                     tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
                     print(f"differ{tag}: {job.key}", flush=True)
+                    if job.argv[0] == "canonical-height":
+                        print(f"  intervals {_intervals(a[1], b[1])}", flush=True)
     print(f"runs={runs} differ={differ}")
     return 1 if differ else 0
 
