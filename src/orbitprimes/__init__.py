@@ -1,138 +1,41 @@
 """Exact arithmetic for orbits of rational maps on P^1 over Q and Q(t):
 primitive prime divisors, canonical heights, abc-triple experiments, the
 Mason inequality, and square-free certificates for iterated quadratic towers.
-"""
 
-from .abclab import AbcTriple, RothScanReport, abc_quality, roth_scan_ff, roth_scan_q
-from .errors import (
-    BadPrimeError,
-    CacheError,
-    ExprSyntaxError,
-    InvariantError,
-    MapConstructionError,
-    ResourceCapError,
-)
-from .ffplaces import (
-    FFElement,
-    FFPlace,
-    MasonReport,
-    ff_height,
-    ff_valuation,
-    mason_check,
-    squarefree_part,
-)
-from .galois import (
-    DiscRecursionCheck,
-    GaloisTowerRecord,
-    disc_recursion_check,
-    discriminant,
-    quadratic_iterate,
-    stoll_certificate,
-    tower_report,
-)
-from .heights import (
-    CanonicalHeightEstimate,
-    HeightValue,
-    PointClassification,
-    canonical_height,
-    classify_point,
-    multi_height,
-    phi_height_bound,
-    weil_height,
-)
-from .intplaces import (
-    CoprimeBasis,
-    FactoredValue,
-    LogMass,
-    coprime_basis,
-    factor,
-    is_probable_prime,
-    radical_logmass,
-    valuation,
-)
-from .maps import (
-    INFINITY,
-    BadReduction,
-    RamificationProfile,
-    RamificationVerdict,
-    RationalMap,
-    RationalMapFF,
-    ResidueCycle,
-)
-from .zsigmondy import (
-    OrbitRecord,
-    PropOldReport,
-    Termination,
-    ZeroOrbit,
-    ZsigmondyReport,
-    orbit,
-    primitive_part,
-    primitive_prime_factors,
-    prop_old_diagnostic,
-    squarefree_primitive_prime,
-    zsigmondy_report,
-)
+The names below resolve on first use (PEP 562), so `import orbitprimes`
+imports no submodule and a command loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbcTriple",
-    "BadPrimeError",
-    "BadReduction",
-    "CacheError",
-    "CanonicalHeightEstimate",
-    "CoprimeBasis",
-    "DiscRecursionCheck",
-    "ExprSyntaxError",
-    "FFElement",
-    "FFPlace",
-    "FactoredValue",
-    "GaloisTowerRecord",
-    "HeightValue",
-    "INFINITY",
-    "InvariantError",
-    "LogMass",
-    "MapConstructionError",
-    "MasonReport",
-    "OrbitRecord",
-    "PointClassification",
-    "PropOldReport",
-    "RamificationProfile",
-    "RamificationVerdict",
-    "RationalMap",
-    "RationalMapFF",
-    "ResidueCycle",
-    "ResourceCapError",
-    "RothScanReport",
-    "Termination",
-    "ZeroOrbit",
-    "ZsigmondyReport",
-    "abc_quality",
-    "canonical_height",
-    "classify_point",
-    "coprime_basis",
-    "disc_recursion_check",
-    "discriminant",
-    "factor",
-    "ff_height",
-    "ff_valuation",
-    "is_probable_prime",
-    "mason_check",
-    "multi_height",
-    "orbit",
-    "phi_height_bound",
-    "primitive_part",
-    "primitive_prime_factors",
-    "prop_old_diagnostic",
-    "quadratic_iterate",
-    "radical_logmass",
-    "roth_scan_ff",
-    "roth_scan_q",
-    "squarefree_part",
-    "squarefree_primitive_prime",
-    "stoll_certificate",
-    "tower_report",
-    "valuation",
-    "weil_height",
-    "zsigmondy_report",
-]
+# the module that defines each public name
+_MODULE_OF = {name: module for module, names in {
+    "abclab": "AbcTriple RothScanReport abc_quality roth_scan_ff roth_scan_q",
+    "errors": "BadPrimeError CacheError ExprSyntaxError InvariantError MapConstructionError "
+              "ResourceCapError",
+    "ffplaces": "FFElement FFPlace MasonReport ff_height ff_valuation mason_check squarefree_part",
+    "galois": "DiscRecursionCheck GaloisTowerRecord disc_recursion_check discriminant "
+              "quadratic_iterate stoll_certificate tower_report",
+    "heights": "CanonicalHeightEstimate HeightValue PointClassification canonical_height "
+               "classify_point multi_height phi_height_bound weil_height",
+    "intplaces": "CoprimeBasis FactoredValue LogMass coprime_basis factor is_probable_prime "
+                 "radical_logmass valuation",
+    "maps": "INFINITY BadReduction RamificationProfile RamificationVerdict RationalMap "
+            "RationalMapFF ResidueCycle",
+    "zsigmondy": "OrbitRecord PropOldReport Termination ZeroOrbit ZsigmondyReport orbit "
+                 "primitive_part primitive_prime_factors prop_old_diagnostic "
+                 "squarefree_primitive_prime zsigmondy_report",
+}.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -7,10 +7,9 @@ enumerations, making every report reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .ffplaces import FFElement
@@ -18,8 +17,7 @@ from .heights import HeightValue, multi_height
 from .intplaces import DEFAULT_BUDGET, LogMass, factor, log_int, radical_logmass
 
 
-@dataclass(frozen=True)
-class AbcTriple:
+class AbcTriple(NamedTuple):
     """a + b = c with its height, radical mass and quality.
 
     `quality` is height / rad_mass; when the radical mass is only a lower
@@ -71,8 +69,7 @@ def abc_quality(a, b, budget: int = DEFAULT_BUDGET) -> AbcTriple:
     )
 
 
-@dataclass(frozen=True)
-class RothSample:
+class RothSample(NamedTuple):
     z: object  # Fraction over Q, tuple of coefficients over Q(t)
     radsum: float
     height: float
@@ -80,8 +77,7 @@ class RothSample:
     exact: bool
 
 
-@dataclass(frozen=True)
-class RothScanReport:
+class RothScanReport(NamedTuple):
     field: str
     poly_str: str
     epsilon: float

@@ -15,8 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import abclab, galois, reports, zsigmondy
-from .cache import ENV_CACHE_DIR, OrbitCache
 from .errors import (
     BadPrimeError,
     CacheError,
@@ -24,17 +22,6 @@ from .errors import (
     InvariantError,
     MapConstructionError,
     ResourceCapError,
-)
-from .exprparse import parse_polynomial, parse_rational_function
-from .ffplaces import FFElement, mason_check
-from .heights import canonical_height, classify_point, weil_height
-from .maps import (
-    INFINITY,
-    INFINITY_SPELLINGS,
-    RationalMap,
-    RationalMapFF,
-    as_point,
-    point_str,
 )
 
 
@@ -49,19 +36,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_point(text: str, field: str):
     """A point of P^1 over Q ("q") or Q(t) ("qt")."""
+    from .maps import INFINITY_SPELLINGS, as_point
+
     if field == "qt" and text.strip() not in INFINITY_SPELLINGS:
+        from .ffplaces import FFElement
+
         return FFElement.parse(text)
     return as_point(text)
 
 
 def _parse_ff_scan_poly(text: str):
     """Polynomial in x with coefficients in Q(t)."""
+    from . import polys
+    from .exprparse import parse_rational_function
+    from .ffplaces import FFElement
+
     one = FFElement.from_const(1)
     num, den = parse_rational_function(
         text, var="x", second_var="t", second_value=FFElement.gen(), one=one
     )
-    from . import polys
-
     g = polys.gcd(num, den)
     num = polys.exact_div(num, g)
     den = polys.exact_div(den, g)
@@ -71,8 +64,8 @@ def _parse_ff_scan_poly(text: str):
 
 
 def _cache_path(arg_path):
-    if arg_path is None:
-        return None
+    from .cache import ENV_CACHE_DIR
+
     base = os.environ.get(ENV_CACHE_DIR)
     if base and not os.path.isabs(arg_path):
         return os.path.join(base, arg_path)
@@ -95,13 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbit values with termination reason")
     common(p)
     field(p)
-    p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
+    # --max-n and --squarefree-max-n default to zsigmondy's depths, read when
+    # the command runs so that parsing imports no arithmetic module
+    p.add_argument("--max-n", type=int)
 
     p = sub.add_parser("zsigmondy", help="primitive prime divisor scan")
     common(p)
     field(p)
-    p.add_argument("--max-n", type=int, default=zsigmondy.DEFAULT_PRIMITIVE_DEPTH)
-    p.add_argument("--squarefree-max-n", type=int, default=zsigmondy.DEFAULT_SQUAREFREE_DEPTH)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--squarefree-max-n", type=int)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--cache", help="factorization cache file (JSON lines)")
 
@@ -195,12 +190,18 @@ def _delta(args) -> float:
 
 
 def _build_map(args):
+    from .maps import RationalMap, RationalMapFF
+
     if args.field == "qt":
         return RationalMapFF.parse(args.map)
     return RationalMap.parse(args.map)
 
 
 def _run_orbit(args):
+    from . import reports, zsigmondy
+    from .maps import point_str
+
+    max_n = zsigmondy.DEFAULT_PRIMITIVE_DEPTH if args.max_n is None else args.max_n
     rmap = _build_map(args)
     alpha = _parse_point(args.alpha, args.field)
     config = {
@@ -208,23 +209,30 @@ def _run_orbit(args):
         "map": args.map,
         "alpha": args.alpha,
         "field": args.field,
-        "max_n": args.max_n,
+        "max_n": max_n,
     }
-    records, termination = zsigmondy.orbit(rmap, alpha, args.max_n)
+    records, termination = zsigmondy.orbit(rmap, alpha, max_n)
     field = "Q" if args.field == "q" else "Q(t)"
     return reports.build_orbit(rmap, point_str(alpha), field, records, termination, config)
 
 
 def _run_zsigmondy(args):
+    from . import reports, zsigmondy
+
+    max_n = zsigmondy.DEFAULT_PRIMITIVE_DEPTH if args.max_n is None else args.max_n
+    sf_max_n = (zsigmondy.DEFAULT_SQUAREFREE_DEPTH if args.squarefree_max_n is None
+                else args.squarefree_max_n)
     rmap = _build_map(args)
     alpha = _parse_point(args.alpha, args.field)
     budget = _budget(args)
     cache = None
     known = {}
-    cache_path = _cache_path(args.cache)
+    cache_path = None if args.cache is None else _cache_path(args.cache)
     if cache_path:
         if args.field == "qt":
             raise _UsageError("the factorization cache is supported over Q only")
+        from .cache import OrbitCache
+
         cache = OrbitCache(cache_path)
         known = cache.load(budget)
     config = {
@@ -232,15 +240,15 @@ def _run_zsigmondy(args):
         "map": args.map,
         "alpha": args.alpha,
         "field": args.field,
-        "max_n": args.max_n,
-        "squarefree_max_n": args.squarefree_max_n,
+        "max_n": max_n,
+        "squarefree_max_n": sf_max_n,
     }
     report = zsigmondy.zsigmondy_report(
         rmap,
         alpha,
-        depth=args.max_n,
+        depth=max_n,
         budget=budget,
-        squarefree_depth=args.squarefree_max_n,
+        squarefree_depth=sf_max_n,
         factor_cache=known,
     )
     if cache is not None:
@@ -250,121 +258,172 @@ def _run_zsigmondy(args):
     return reports.build_zsigmondy(rmap, report, config)
 
 
+def _run_height(args):
+    from . import reports
+    from .heights import weil_height
+    from .maps import point_str
+
+    config = {"command": "height", "point": args.point, "field": args.field}
+    point = _parse_point(args.point, args.field)
+    return reports.build_height(point_str(point), weil_height(point), config)
+
+
+def _run_canonical_height(args):
+    from . import reports
+    from .heights import canonical_height
+    from .maps import RationalMap, point_str
+
+    rmap = RationalMap.parse(args.map)
+    alpha = _parse_point(args.alpha, "q")
+    est = canonical_height(rmap, alpha, tol=args.tol)
+    config = {
+        "command": "canonical-height",
+        "map": args.map,
+        "alpha": args.alpha,
+        "tol": args.tol,
+    }
+    return reports.build_canonical(rmap.to_string(), point_str(alpha), est, config)
+
+
+def _run_classify(args):
+    from . import reports
+    from .heights import classify_point
+    from .maps import RationalMap, point_str
+
+    rmap = RationalMap.parse(args.map)
+    alpha = _parse_point(args.alpha, "q")
+    cls = classify_point(rmap, alpha, max_steps=args.max_steps)
+    config = {
+        "command": "classify",
+        "map": args.map,
+        "alpha": args.alpha,
+        "max_steps": args.max_steps,
+    }
+    return reports.build_classify(rmap.to_string(), point_str(alpha), cls, config)
+
+
+def _run_map_analyze(args):
+    from . import reports
+    from .maps import RationalMap
+
+    rmap = RationalMap.parse(args.map)
+    bad = rmap.bad_reduction_primes(budget=_budget(args))
+    verdict = rmap.dynamical_ramification_verdict(args.depth, threshold=args.threshold)
+    config = {
+        "command": "map-analyze",
+        "map": args.map,
+        "depth": args.depth,
+    }
+    return reports.build_map_analyze(rmap, bad, verdict, config)
+
+
+def _run_prop_old(args):
+    from . import reports, zsigmondy
+    from .exprparse import parse_polynomial
+    from .maps import RationalMap
+
+    rmap = RationalMap.parse(args.map)
+    alpha = _parse_point(args.alpha, "q")
+    F = parse_polynomial(args.F, var="x")
+    report = zsigmondy.prop_old_diagnostic(
+        rmap, alpha, F, args.i, args.max_n, _delta(args), budget=_budget(args)
+    )
+    config = {
+        "command": "prop-old",
+        "map": args.map,
+        "alpha": args.alpha,
+        "F": args.F,
+        "i": args.i,
+        "max_n": args.max_n,
+        "delta": args.delta,
+    }
+    return reports.build_prop_old(report, config)
+
+
+def _run_abc(args):
+    from . import abclab, reports
+    from .maps import INFINITY
+
+    a = _parse_point(args.a, "q")
+    b = _parse_point(args.b, "q")
+    if a is INFINITY or b is INFINITY:
+        raise _UsageError("abc needs finite --a and --b")
+    triple = abclab.abc_quality(a, b, budget=_budget(args))
+    config = {"command": "abc", "a": args.a, "b": args.b}
+    return reports.build_abc(triple, config)
+
+
+def _run_roth_scan(args):
+    from . import abclab, reports
+    from .exprparse import parse_polynomial
+
+    config = {
+        "command": "roth-scan",
+        "F": args.F,
+        "epsilon": args.epsilon,
+        "field": args.field,
+    }
+    if args.field == "q":
+        F = parse_polynomial(args.F, var="x")
+        report = abclab.roth_scan_q(
+            F, args.epsilon, args.height_bound, budget=_budget(args)
+        )
+        config["height_bound"] = args.height_bound
+    else:
+        F = _parse_ff_scan_poly(args.F)
+        report = abclab.roth_scan_ff(
+            F,
+            args.epsilon,
+            max_degree=args.max_degree,
+            coeff_bound=args.coeff_bound,
+            budget=_budget(args),
+        )
+        config["max_degree"] = args.max_degree
+        config["coeff_bound"] = args.coeff_bound
+    return reports.build_roth(report, config, include_samples=args.samples)
+
+
+def _run_mason(args):
+    from . import reports
+    from .exprparse import parse_polynomial
+    from .ffplaces import mason_check
+
+    a = parse_polynomial(args.a, var="t")
+    b = parse_polynomial(args.b, var="t")
+    report = mason_check(a, b)
+    config = {"command": "mason", "a": args.a, "b": args.b}
+    return reports.build_mason(report, config)
+
+
+def _run_galois_tower(args):
+    from . import galois, reports
+
+    records = galois.tower_report(args.a, args.max_n, budget=_budget(args))
+    config = {"command": "galois-tower", "a": args.a, "max_n": args.max_n}
+    return reports.build_galois(records, config)
+
+
+_RUNNERS = {
+    "orbit": _run_orbit,
+    "zsigmondy": _run_zsigmondy,
+    "height": _run_height,
+    "canonical-height": _run_canonical_height,
+    "classify": _run_classify,
+    "map-analyze": _run_map_analyze,
+    "prop-old": _run_prop_old,
+    "abc": _run_abc,
+    "roth-scan": _run_roth_scan,
+    "mason": _run_mason,
+    "galois-tower": _run_galois_tower,
+}
+
+
 def dispatch(args) -> dict:
     _check_options(args)
-    command = args.command
-    if command == "orbit":
-        return _run_orbit(args)
-
-    if command == "zsigmondy":
-        return _run_zsigmondy(args)
-
-    if command == "height":
-        config = {"command": "height", "point": args.point, "field": args.field}
-        point = _parse_point(args.point, args.field)
-        return reports.build_height(point_str(point), weil_height(point), config)
-
-    if command == "canonical-height":
-        rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha, "q")
-        est = canonical_height(rmap, alpha, tol=args.tol)
-        config = {
-            "command": "canonical-height",
-            "map": args.map,
-            "alpha": args.alpha,
-            "tol": args.tol,
-        }
-        return reports.build_canonical(rmap.to_string(), point_str(alpha), est, config)
-
-    if command == "classify":
-        rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha, "q")
-        cls = classify_point(rmap, alpha, max_steps=args.max_steps)
-        config = {
-            "command": "classify",
-            "map": args.map,
-            "alpha": args.alpha,
-            "max_steps": args.max_steps,
-        }
-        return reports.build_classify(rmap.to_string(), point_str(alpha), cls, config)
-
-    if command == "map-analyze":
-        rmap = RationalMap.parse(args.map)
-        bad = rmap.bad_reduction_primes(budget=_budget(args))
-        verdict = rmap.dynamical_ramification_verdict(args.depth, threshold=args.threshold)
-        config = {
-            "command": "map-analyze",
-            "map": args.map,
-            "depth": args.depth,
-        }
-        return reports.build_map_analyze(rmap, bad, verdict, config)
-
-    if command == "prop-old":
-        rmap = RationalMap.parse(args.map)
-        alpha = _parse_point(args.alpha, "q")
-        F = parse_polynomial(args.F, var="x")
-        report = zsigmondy.prop_old_diagnostic(
-            rmap, alpha, F, args.i, args.max_n, _delta(args), budget=_budget(args)
-        )
-        config = {
-            "command": "prop-old",
-            "map": args.map,
-            "alpha": args.alpha,
-            "F": args.F,
-            "i": args.i,
-            "max_n": args.max_n,
-            "delta": args.delta,
-        }
-        return reports.build_prop_old(report, config)
-
-    if command == "abc":
-        a = _parse_point(args.a, "q")
-        b = _parse_point(args.b, "q")
-        if a is INFINITY or b is INFINITY:
-            raise _UsageError("abc needs finite --a and --b")
-        triple = abclab.abc_quality(a, b, budget=_budget(args))
-        config = {"command": "abc", "a": args.a, "b": args.b}
-        return reports.build_abc(triple, config)
-
-    if command == "roth-scan":
-        config = {
-            "command": "roth-scan",
-            "F": args.F,
-            "epsilon": args.epsilon,
-            "field": args.field,
-        }
-        if args.field == "q":
-            F = parse_polynomial(args.F, var="x")
-            report = abclab.roth_scan_q(
-                F, args.epsilon, args.height_bound, budget=_budget(args)
-            )
-            config["height_bound"] = args.height_bound
-        else:
-            F = _parse_ff_scan_poly(args.F)
-            report = abclab.roth_scan_ff(
-                F,
-                args.epsilon,
-                max_degree=args.max_degree,
-                coeff_bound=args.coeff_bound,
-                budget=_budget(args),
-            )
-            config["max_degree"] = args.max_degree
-            config["coeff_bound"] = args.coeff_bound
-        return reports.build_roth(report, config, include_samples=args.samples)
-
-    if command == "mason":
-        a = parse_polynomial(args.a, var="t")
-        b = parse_polynomial(args.b, var="t")
-        report = mason_check(a, b)
-        config = {"command": "mason", "a": args.a, "b": args.b}
-        return reports.build_mason(report, config)
-
-    if command == "galois-tower":
-        records = galois.tower_report(args.a, args.max_n, budget=_budget(args))
-        config = {"command": "galois-tower", "a": args.a, "max_n": args.max_n}
-        return reports.build_galois(records, config)
-
-    raise _UsageError(f"unknown command {command!r}")
+    run = _RUNNERS.get(args.command)
+    if run is None:
+        raise _UsageError(f"unknown command {args.command!r}")
+    return run(args)
 
 
 def main(argv=None) -> int:
@@ -377,6 +436,8 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "json")
     try:
         report = dispatch(args)
+        from . import reports
+
         if fmt == "json":
             text = reports.to_json(report)
         elif fmt == "table":

@@ -12,9 +12,8 @@ from gcds and square-free decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .exprparse import parse_rational_function
@@ -167,8 +166,7 @@ class FFElement:
         return f"({num})/({den})"
 
 
-@dataclass(frozen=True)
-class FFPlace:
+class FFPlace(NamedTuple):
     """A place of Q(t): a monic irreducible polynomial, or the infinite place.
 
     Irreducibility of a finite place is asserted by the caller, not checked;
@@ -229,8 +227,7 @@ def ff_height(f: FFElement) -> int:
     return max(polys.degree(list(f.num)), polys.degree(list(f.den)))
 
 
-@dataclass(frozen=True)
-class MasonReport:
+class MasonReport(NamedTuple):
     """Outcome of the polynomial abc inequality check for a + b = c."""
 
     a: tuple

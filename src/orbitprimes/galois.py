@@ -12,10 +12,9 @@ annotate that guarantee separately from the prime search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .errors import ResourceCapError
@@ -61,8 +60,7 @@ def critical_orbit(a: int, length: int):
     return [v.numerator for v in _critical_walk(a, length).values[1:]]
 
 
-@dataclass(frozen=True)
-class DiscRecursionCheck:
+class DiscRecursionCheck(NamedTuple):
     """Both sides of the one-step discriminant identity for f = x^2 + a:
 
         Disc(f^m) = 2^(2^m) * Disc(f^(m-1))^2 * f^m(0)      (m >= 2)
@@ -97,8 +95,7 @@ def disc_recursion_check(a: int, m: int) -> DiscRecursionCheck:
     return DiscRecursionCheck(a=a, m=m, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-@dataclass(frozen=True)
-class GaloisTowerRecord:
+class GaloisTowerRecord(NamedTuple):
     """Level-n certificate search outcome for f_a = x^2 + a.
 
     status: "certified" | "no-certificate" | "unresolved".

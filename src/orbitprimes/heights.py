@@ -20,19 +20,16 @@ h(phi^N(alpha)) / d^N is the test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
-from .ffplaces import FFElement, ff_height
 from .intplaces import log_fraction, log_int
 from .maps import INFINITY, OrbitWalk, RationalMap, _form_content, as_point, point_to_pair
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(NamedTuple):
     """A height: float on the log scale over Q, exact integer over Q(t).
 
     When the value is exactly log of a rational, `log_arg` carries that
@@ -51,11 +48,13 @@ def weil_height(z) -> HeightValue:
     """h(z) = log max(|num|, |den|) over Q; max(deg num, deg den) over Q(t).
 
     Conventions: h(0) = 0 and h(infinity) = 0 (the points (0:1) and (1:0))."""
-    if isinstance(z, FFElement):
-        return HeightValue(value=ff_height(z), field="Q(t)", log_arg=None)
     z = as_point(z)
     if z is INFINITY:
         return HeightValue(value=0.0, field="Q", log_arg=Fraction(1))
+    if not isinstance(z, Fraction):  # as_point passes an FFElement through
+        from .ffplaces import ff_height
+
+        return HeightValue(value=ff_height(z), field="Q(t)", log_arg=None)
     arg = Fraction(max(abs(z.numerator), z.denominator))
     return HeightValue(value=log_fraction(arg), field="Q", log_arg=arg)
 
@@ -112,8 +111,7 @@ def phi_height_bound(rmap: RationalMap) -> float:
     return max(log_fraction(Fraction(upper_arg)), log_fraction(rmap.lower_bound_norm()), 0.0)
 
 
-@dataclass(frozen=True)
-class CanonicalHeightEstimate:
+class CanonicalHeightEstimate(NamedTuple):
     """An interval estimate +- error_radius of the canonical height after
     N = iterations_used terms, the tail of the rest bounded by
     c_phi / (d^N * (1 - 1/d)).  `capped` flags a radius left above tol by the
@@ -370,8 +368,7 @@ def _log_bounds(num: int, den: int):
     return value - err, value + err
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     kind: str  # "wandering" | "preperiodic" | "inconclusive"
     tail: Optional[int] = None
     period: Optional[int] = None

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 DEFAULT_BUDGET = 2_000_000
 # digits allowed in an exact value: orbit values and constant power literals
@@ -127,8 +126,15 @@ def _brent_split(n, budget):
     return None, used
 
 
-@dataclass(frozen=True)
-class FactoredValue:
+# a NamedTuple body cannot define __new__, so FactoredValue checks in a subclass
+class _Factored(NamedTuple):
+    sign: int
+    prime_powers: tuple
+    cofactor: Optional[int] = None
+    certified: bool = True
+
+
+class FactoredValue(_Factored):
     """A nonzero integer as sign * prod(p^e) * cofactor.
 
     `cofactor`, when present, is a composite the budget could not split.
@@ -136,15 +142,13 @@ class FactoredValue:
     primality test (inputs beyond the deterministic witness bound).
     """
 
-    sign: int
-    prime_powers: tuple
-    cofactor: Optional[int] = None
-    certified: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        primes = [p for p, _ in self.prime_powers]
+    def __new__(cls, sign, prime_powers, cofactor=None, certified=True):
+        primes = [p for p, _ in prime_powers]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("prime_powers must be sorted with distinct primes")
+        return super().__new__(cls, sign, prime_powers, cofactor, certified)
 
     @property
     def is_complete(self) -> bool:
@@ -383,8 +387,7 @@ def _from_digits(digits: str) -> int:
     return _from_digits(digits[:-k]) * 10**k + _from_digits(digits[-k:])
 
 
-@dataclass(frozen=True)
-class LogMass:
+class LogMass(NamedTuple):
     """Sum of log p over a set of primes, tracked with its exact radical.
 
     `exact` is False when an unresolved cofactor means the mass is only a
@@ -409,8 +412,7 @@ def radical_logmass(f: FactoredValue) -> LogMass:
     return LogMass(value=total, exact=f.is_complete, radical=radical)
 
 
-@dataclass(frozen=True)
-class CoprimeBasis:
+class CoprimeBasis(NamedTuple):
     """Pairwise-coprime integers generating the inputs multiplicatively."""
 
     inputs: tuple

@@ -9,10 +9,9 @@ Fractions plus the INFINITY sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
     ResourceCapError,
 )
 from .exprparse import parse_rational_function
-from .ffplaces import FFElement
 from .intplaces import (
     DEFAULT_BUDGET,
     DEFAULT_DIGIT_CAP,
@@ -63,7 +61,7 @@ def as_point(z):
     A string is one of INFINITY_SPELLINGS or a constant expression of the
     exprparse grammar (integers of any length, "/", signs, parentheses and
     integer powers)."""
-    if z is INFINITY or isinstance(z, (Fraction, FFElement)):
+    if z is INFINITY or isinstance(z, Fraction):
         return z
     if isinstance(z, int):
         return Fraction(z)
@@ -72,6 +70,10 @@ def as_point(z):
             return INFINITY
         num, den = parse_rational_function(z, var=None)
         return num[0] / den[0] if num else Fraction(0)
+    from .ffplaces import FFElement
+
+    if isinstance(z, FFElement):
+        return z
     raise TypeError(f"cannot interpret {z!r} as a point of P^1")
 
 
@@ -79,8 +81,11 @@ def point_str(z) -> str:
     """Inverse of as_point: "inf", a Q(t) element, or "p" / "p/q"."""
     if z is INFINITY:
         return "inf"
-    if isinstance(z, FFElement):
-        return str(z)
+    if not isinstance(z, (Fraction, int)):
+        from .ffplaces import FFElement
+
+        if isinstance(z, FFElement):
+            return str(z)
     return rational_to_decimal(z)
 
 
@@ -92,16 +97,14 @@ def point_to_pair(z):
     return z.numerator, z.denominator
 
 
-@dataclass(frozen=True)
-class ResidueCycle:
+class ResidueCycle(NamedTuple):
     prime: int
     start: object  # residue in F_p, or INFINITY
     tail_length: int
     period: int
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(NamedTuple):
     """Multiplicity structure of the level-n preimages of 0."""
 
     level: int
@@ -117,8 +120,7 @@ class RamificationProfile:
         )
 
 
-@dataclass(frozen=True)
-class RamificationVerdict:
+class RamificationVerdict(NamedTuple):
     """Heuristic three-valued verdict; see RationalMap.dynamical_ramification_verdict."""
 
     kind: str  # "not-dynamically-ramified" | "likely-dynamically-ramified" | "inconclusive"
@@ -128,8 +130,7 @@ class RamificationVerdict:
     threshold: int
 
 
-@dataclass(frozen=True)
-class BadReduction:
+class BadReduction(NamedTuple):
     """Primes of bad reduction: the primes dividing the form resultant.
 
     When the resultant resists factoring within budget, `unresolved_cofactor`
@@ -697,6 +698,8 @@ def _primitive_pair(a, b):
 
 
 def _as_ff(c):
+    from .ffplaces import FFElement
+
     return c if isinstance(c, FFElement) else FFElement.from_const(c)
 
 
@@ -726,6 +729,8 @@ class RationalMapFF:
 
     @classmethod
     def parse(cls, text: str) -> "RationalMapFF":
+        from .ffplaces import FFElement
+
         one = FFElement.from_const(1)
         num, den = parse_rational_function(
             text, var="x", second_var="t", second_value=FFElement.gen(), one=one
@@ -748,7 +753,7 @@ class RationalMapFF:
             if dn > dd:
                 return INFINITY
             if dd > dn:
-                return FFElement.from_const(0)
+                return _as_ff(0)
             return self.numer_coeffs[-1] / self.denom_coeffs[-1]
         z = _as_ff(z)
         pv = polys.evaluate(list(self.numer_coeffs), z)
@@ -780,7 +785,7 @@ class RationalMapFF:
             return " + ".join(parts) if parts else "0"
 
         num = side(self.numer_coeffs)
-        if len(self.denom_coeffs) == 1 and self.denom_coeffs[0] == FFElement.from_const(1):
+        if len(self.denom_coeffs) == 1 and self.denom_coeffs[0] == _as_ff(1):
             return num
         return f"({num})/({side(self.denom_coeffs)})"
 

@@ -29,15 +29,13 @@ well, via the multiplicity-1 component of a square-free decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd as int_gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polys
 from .errors import ResourceCapError
-from .ffplaces import FFElement
 from .heights import PointClassification, classify_point, height_float
 from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine, log_int
 from .maps import (
@@ -46,6 +44,7 @@ from .maps import (
     RamificationVerdict,
     RationalMap,
     RationalMapFF,
+    _as_ff,
     as_point,
     point_str,
 )
@@ -101,8 +100,7 @@ class _PolyValues:
     def numerator(value):
         if value is INFINITY:
             return (Fraction(1),)
-        if not isinstance(value, FFElement):
-            value = FFElement.from_const(value)
+        value = _as_ff(value)
         if value.is_zero:
             return ()
         return tuple(polys.monic(list(value.num)))
@@ -128,28 +126,34 @@ class _PolyValues:
 # Orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(NamedTuple):
     kind: str  # "reached-n" | "hit-zero" | "preperiodic" | "resource-cap"
     zero_index: Optional[int] = None
     tail: Optional[int] = None
     period: Optional[int] = None
 
 
-@dataclass
 class OrbitRecord:
     """One orbit entry with its primitivity data."""
 
-    n: int
-    value: object
-    primitive_part: object = None
-    has_primitive: Optional[bool] = None
-    primitive_primes: Optional[tuple] = None
-    primes_unresolved: bool = False
-    squarefree_witness: object = None
-    has_squarefree_primitive: Optional[bool] = None
-    squarefree_unresolved: bool = False
-    factored: Optional[FactoredValue] = None
+    __slots__ = ("n", "value", "primitive_part", "has_primitive", "primitive_primes",
+                 "primes_unresolved", "squarefree_witness", "has_squarefree_primitive",
+                 "squarefree_unresolved", "factored")
+
+    def __init__(self, n: int, value, primitive_part=None, has_primitive: Optional[bool] = None,
+                 primitive_primes: Optional[tuple] = None, primes_unresolved: bool = False,
+                 squarefree_witness=None, has_squarefree_primitive: Optional[bool] = None,
+                 squarefree_unresolved: bool = False, factored: Optional[FactoredValue] = None):
+        self.n = n
+        self.value = value
+        self.primitive_part = primitive_part
+        self.has_primitive = has_primitive
+        self.primitive_primes = primitive_primes
+        self.primes_unresolved = primes_unresolved
+        self.squarefree_witness = squarefree_witness
+        self.has_squarefree_primitive = has_squarefree_primitive
+        self.squarefree_unresolved = squarefree_unresolved
+        self.factored = factored
 
 
 def orbit(rmap, alpha, depth: int):
@@ -342,8 +346,7 @@ def squarefree_primitive_witness_ff(records, n: int, part=None):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisNotes:
+class HypothesisNotes(NamedTuple):
     """Which theorem hypotheses the scanned pair satisfies, for report readers."""
 
     power_map: bool
@@ -352,19 +355,26 @@ class HypothesisNotes:
     ramification: Optional[RamificationVerdict]
 
 
-@dataclass
 class ZsigmondyReport:
-    map_str: str
-    alpha_str: str
-    field: str
-    depth: int
-    squarefree_depth: int
-    records: list
-    zsigmondy_set: tuple
-    squarefree_zsigmondy_set: tuple
-    squarefree_unresolved: tuple
-    termination: Termination
-    notes: Optional[HypothesisNotes]
+    __slots__ = ("map_str", "alpha_str", "field", "depth", "squarefree_depth", "records",
+                 "zsigmondy_set", "squarefree_zsigmondy_set", "squarefree_unresolved",
+                 "termination", "notes")
+
+    def __init__(self, map_str: str, alpha_str: str, field: str, depth: int,
+                 squarefree_depth: int, records: list, zsigmondy_set: tuple,
+                 squarefree_zsigmondy_set: tuple, squarefree_unresolved: tuple,
+                 termination: Termination, notes: Optional[HypothesisNotes]):
+        self.map_str = map_str
+        self.alpha_str = alpha_str
+        self.field = field
+        self.depth = depth
+        self.squarefree_depth = squarefree_depth
+        self.records = records
+        self.zsigmondy_set = zsigmondy_set
+        self.squarefree_zsigmondy_set = squarefree_zsigmondy_set
+        self.squarefree_unresolved = squarefree_unresolved
+        self.termination = termination
+        self.notes = notes
 
 
 def zsigmondy_report(
@@ -451,8 +461,7 @@ def zsigmondy_report(
 # Non-primitive mass diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropOldRow:
+class PropOldRow(NamedTuple):
     n: int
     mass: LogMass
     height: float
@@ -462,8 +471,7 @@ class PropOldRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class PropOldReport:
+class PropOldReport(NamedTuple):
     map_str: str
     alpha_str: str
     factor_poly: tuple

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from orbitprimes import reports
-from orbitprimes.cache import OrbitCache
+from orbitprimes.cache import OrbitCache, _checksum
 from orbitprimes.cli import main
 from orbitprimes.errors import CacheError, InvariantError
 from orbitprimes.intplaces import DEFAULT_BUDGET, FactoredValue
@@ -127,6 +127,22 @@ def test_cache_tamper_detection(tmp_path):
     with pytest.raises(CacheError) as info:
         cache.load(BUDGET)
     assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("prime_powers", [((5, 1), (3, 1)), ((3, 1), (3, 2))],
+                         ids=["unsorted", "repeated"])
+def test_factored_value_needs_sorted_distinct_primes(tmp_path, prime_powers):
+    with pytest.raises(ValueError, match="sorted with distinct primes"):
+        FactoredValue(sign=1, prime_powers=prime_powers)
+    # a line with a valid checksum is still checked when it is loaded
+    payload = {"budget": BUDGET, "sign": 1, "cofactor": None, "certified": True,
+               "prime_powers": [[str(p), e] for p, e in prime_powers]}
+    payload["check"] = _checksum(payload)
+    path = tmp_path / "orbit.jsonl"
+    path.write_text(json.dumps(payload) + "\n")
+    with pytest.raises(CacheError, match="sorted with distinct primes") as info:
+        OrbitCache(str(path)).load(BUDGET)
+    assert info.value.line_number == 1
 
 
 def test_cache_invalid_json_names_line(tmp_path):
@@ -485,7 +501,9 @@ fac = FactoredValue(sign=-1, prime_powers=((3, 2),), cofactor=big)
 cache = OrbitCache(sys.argv[1])
 cache.append([fac], 0)
 assert cache.load(0) == {-9 * big: fac}
-import orbitprimes.cli  # imports every module, reports included
+import importlib, pkgutil, orbitprimes
+for info in pkgutil.iter_modules(orbitprimes.__path__):  # every module body runs
+    importlib.import_module(f"orbitprimes.{info.name}")
 from orbitprimes.maps import point_str
 rendered = point_str(-9 * big)
 assert sys.get_int_max_str_digits() == limit
