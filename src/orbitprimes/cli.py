@@ -64,6 +64,8 @@ def _parse_ff_scan_poly(text: str):
 
 
 def _cache_path(arg_path):
+    if arg_path is None:
+        return None
     from .cache import ENV_CACHE_DIR
 
     base = os.environ.get(ENV_CACHE_DIR)
@@ -227,7 +229,7 @@ def _run_zsigmondy(args):
     budget = _budget(args)
     cache = None
     known = {}
-    cache_path = None if args.cache is None else _cache_path(args.cache)
+    cache_path = _cache_path(args.cache)
     if cache_path:
         if args.field == "qt":
             raise _UsageError("the factorization cache is supported over Q only")

@@ -47,7 +47,8 @@ COMMANDS = {
 
 def loaded(*argv):
     """(package modules without the prefix, every module name) after argv ran."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
