@@ -11,20 +11,18 @@ __version__ = "0.1.0"
 # the module that defines each public name
 _MODULE_OF = {name: module for module, names in {
     "abclab": "AbcTriple RothScanReport abc_quality roth_scan_ff roth_scan_q",
-    "errors": "BadPrimeError CacheError ExprSyntaxError InvariantError MapConstructionError "
-              "ResourceCapError",
-    "ffplaces": "FFElement FFPlace MasonReport ff_height ff_valuation mason_check squarefree_part",
+    "errors": "CacheError ExprSyntaxError InvariantError MapConstructionError ResourceCapError",
+    "ffplaces": "FFElement MasonReport ff_height mason_check",
     "galois": "DiscRecursionCheck GaloisTowerRecord disc_recursion_check discriminant "
               "quadratic_iterate stoll_certificate tower_report",
     "heights": "CanonicalHeightEstimate HeightValue PointClassification canonical_height "
                "classify_point multi_height phi_height_bound weil_height",
-    "intplaces": "CoprimeBasis FactoredValue LogMass coprime_basis factor is_probable_prime "
-                 "radical_logmass valuation",
+    "intplaces": "FactoredValue LogMass factor is_probable_prime radical_logmass",
     "maps": "INFINITY BadReduction RamificationProfile RamificationVerdict RationalMap "
-            "RationalMapFF ResidueCycle",
+            "RationalMapFF",
     "zsigmondy": "OrbitRecord PropOldReport Termination ZeroOrbit ZsigmondyReport orbit "
-                 "primitive_part primitive_prime_factors prop_old_diagnostic "
-                 "squarefree_primitive_prime zsigmondy_report",
+                 "primitive_part prop_old_diagnostic squarefree_primitive_prime "
+                 "zsigmondy_report",
 }.items() for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

@@ -12,7 +12,6 @@ from math import gcd as int_gcd
 from typing import NamedTuple, Optional
 
 from . import polys
-from .ffplaces import FFElement
 from .heights import HeightValue, multi_height
 from .intplaces import DEFAULT_BUDGET, LogMass, factor, log_int, radical_logmass
 
@@ -200,6 +199,8 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     without any factorization.  Unlike the Q scan this inequality is a
     theorem, so margins here are structural data, not conjecture probes.
     """
+    from .ffplaces import FFElement
+
     if max_degree < 0 or coeff_bound < 0:
         raise ValueError("max degree and coefficient bound must be >= 0")
     F = _require_scan_input(

@@ -15,14 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    BadPrimeError,
-    CacheError,
-    ExprSyntaxError,
-    InvariantError,
-    MapConstructionError,
-    ResourceCapError,
-)
+from .errors import ResourceCapError
 
 
 class _UsageError(Exception):
@@ -449,14 +442,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ExprSyntaxError, MapConstructionError, CacheError, BadPrimeError,
-            ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
     print(text)

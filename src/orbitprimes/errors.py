@@ -13,10 +13,6 @@ class MapConstructionError(ValueError):
     """Raised when coefficient data does not define a valid rational map of degree > 1."""
 
 
-class BadPrimeError(ValueError):
-    """Raised when an operation requires a prime of good reduction and got a bad one."""
-
-
 class ResourceCapError(RuntimeError):
     """Raised when an exact computation would exceed a configured size cap."""
 

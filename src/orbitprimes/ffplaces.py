@@ -1,9 +1,8 @@
-"""Places of the rational function field Q(t).
+"""The rational function field Q(t): its elements, heights and the Mason check.
 
 Elements are reduced fractions of polynomials in t with exact rational
-coefficients.  Finite places are monic irreducibles pi with degree deg(pi);
-the infinite place has degree 1 and valuation deg(denominator) minus
-deg(numerator).  Heights are integers.
+coefficients.  The height of an element is an integer: the larger of the
+degrees of its numerator and denominator.
 
 Irreducible factorization over Q[t] is deliberately not implemented: every
 quantity needed here (radicals, square-free parts, primitive parts) comes
@@ -13,7 +12,7 @@ from gcds and square-free decompositions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import polys
 from .exprparse import parse_rational_function
@@ -68,10 +67,6 @@ class FFElement:
     @property
     def is_zero(self) -> bool:
         return len(self.num) == 0
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
 
     # -- field arithmetic ------------------------------------------------------
 
@@ -164,60 +159,6 @@ class FFElement:
             return num
         den = polys.to_string(list(self.den), var="t")
         return f"({num})/({den})"
-
-
-class FFPlace(NamedTuple):
-    """A place of Q(t): a monic irreducible polynomial, or the infinite place.
-
-    Irreducibility of a finite place is asserted by the caller, not checked;
-    the valuation below is still well defined for any monic non-constant poly.
-    """
-
-    kind: str  # "finite" | "infinite"
-    poly: Optional[tuple] = None  # monic, ascending coefficients
-    # degree of the residue extension; 1 for the infinite place
-    degree: int = 1
-
-    @staticmethod
-    def finite(poly) -> "FFPlace":
-        poly = polys.strip([Fraction(c) for c in poly])
-        if polys.degree(poly) < 1:
-            raise ValueError("a finite place needs a non-constant polynomial")
-        poly = polys.monic(poly)
-        return FFPlace(kind="finite", poly=tuple(poly), degree=polys.degree(poly))
-
-    @staticmethod
-    def infinite() -> "FFPlace":
-        return FFPlace(kind="infinite", poly=None, degree=1)
-
-
-def _order_at(poly_coeffs, pi) -> int:
-    """Multiplicity of pi in a nonzero polynomial."""
-    count = 0
-    current = list(poly_coeffs)
-    while True:
-        quo, rem = polys.divmod_poly(current, list(pi))
-        if not polys.is_zero(rem):
-            return count
-        count += 1
-        current = quo
-
-
-def ff_valuation(f: FFElement, place: FFPlace) -> int:
-    """Order of vanishing of f at the place; at infinity, deg den - deg num."""
-    if f.is_zero:
-        raise ValueError("valuation of 0 is undefined")
-    if place.kind == "infinite":
-        return polys.degree(list(f.den)) - polys.degree(list(f.num))
-    return _order_at(f.num, place.poly) - _order_at(f.den, place.poly)
-
-
-def squarefree_part(g):
-    """g / gcd(g, g'), made monic."""
-    g = polys.strip([Fraction(c) for c in g])
-    if polys.is_zero(g):
-        raise ValueError("squarefree part of the zero polynomial")
-    return polys.squarefree_part(g)
 
 
 def ff_height(f: FFElement) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import polys
 from .errors import ResourceCapError
-from .intplaces import DEFAULT_BUDGET, FactoredValue
+from .intplaces import DEFAULT_BUDGET
 from .maps import OrbitWalk, RationalMap
 from .polys import discriminant
 from .zsigmondy import OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_prime
@@ -109,7 +109,6 @@ class GaloisTowerRecord(NamedTuple):
     certificate: Optional[int]
     status: str
     stoll_guarantee: bool
-    factored: Optional[FactoredValue] = None
 
     @property
     def established(self) -> bool:
@@ -154,15 +153,14 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
     odd >>= (odd & -odd).bit_length() - 1
     records = [OrbitRecord(n=k, value=v) for k, v in enumerate(values[:-1] + [odd], start=1)]
     part = primitive_part(records, n + 1, ZeroOrbit(_quadratic_map(a), walk))
-    certificate, unresolved, fac = squarefree_primitive_prime(part, budget=budget)
+    certificate, unresolved, _ = squarefree_primitive_prime(part, budget=budget)
     if certificate is not None:
         _validate_certificate(certificate, values)
         status = "certified"
     else:
         status = "unresolved" if unresolved else "no-certificate"
     return GaloisTowerRecord(a=a, n=n, critical_value=values[-1], certificate=certificate,
-                             status=status, stoll_guarantee=a > 0 and a % 4 in (1, 2),
-                             factored=fac)
+                             status=status, stoll_guarantee=a > 0 and a % 4 in (1, 2))
 
 
 def _validate_certificate(p: int, values):

@@ -1,5 +1,5 @@
-"""Integer places of Q: factoring with budgets, valuations, radical mass,
-and gcd-free (coprime) bases.
+"""Integers of Q: factoring with budgets, radical mass, logarithms of big
+integers and exact decimal input and output.
 
 Factoring is budgeted and degrades gracefully: when the effort budget runs
 out, the unsplit composite is reported as an explicit cofactor instead of an
@@ -259,25 +259,6 @@ def rho_factor(n: int, budget: int) -> FactoredValue:
     )
 
 
-def valuation(x, p: int) -> int:
-    """Exact p-adic valuation of a nonzero rational (negative values allowed)."""
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def log_int(n: int) -> float:
     """Natural log of a positive integer of any size.
 
@@ -410,47 +391,3 @@ def radical_logmass(f: FactoredValue) -> LogMass:
         radical *= p
         total += log_int(p)
     return LogMass(value=total, exact=f.is_complete, radical=radical)
-
-
-class CoprimeBasis(NamedTuple):
-    """Pairwise-coprime integers generating the inputs multiplicatively."""
-
-    inputs: tuple
-    elements: tuple
-    exponent_table: tuple  # exponent_table[i][j] = exponent of elements[j] in inputs[i]
-
-
-def coprime_basis(values) -> CoprimeBasis:
-    """Gcd-free basis via splitting refinement; no primality testing involved."""
-    values = tuple(int(v) for v in values)
-    if any(v == 0 for v in values):
-        raise ValueError("coprime basis needs nonzero inputs")
-    basis = []
-    work = [abs(v) for v in values if abs(v) > 1]
-    while work:
-        x = work.pop()
-        if x == 1:
-            continue
-        for i, b in enumerate(basis):
-            g = int_gcd(x, b)
-            if g > 1:
-                basis.pop(i)
-                work.extend((g, b // g, x // g))
-                break
-        else:
-            basis.append(x)
-    basis.sort()
-    table = []
-    for v in values:
-        m = abs(v)
-        row = []
-        for b in basis:
-            e = 0
-            while m % b == 0:
-                m //= b
-                e += 1
-            row.append(e)
-        if m != 1:
-            raise AssertionError("coprime basis failed to reconstruct an input")
-        table.append(tuple(row))
-    return CoprimeBasis(inputs=values, elements=tuple(basis), exponent_table=tuple(table))

@@ -14,12 +14,7 @@ from math import ceil, gcd, prod
 from typing import NamedTuple, Optional
 
 from . import polys
-from .errors import (
-    BadPrimeError,
-    InvariantError,
-    MapConstructionError,
-    ResourceCapError,
-)
+from .errors import InvariantError, MapConstructionError, ResourceCapError
 from .exprparse import parse_rational_function
 from .intplaces import (
     DEFAULT_BUDGET,
@@ -97,13 +92,6 @@ def point_to_pair(z):
     return z.numerator, z.denominator
 
 
-class ResidueCycle(NamedTuple):
-    prime: int
-    start: object  # residue in F_p, or INFINITY
-    tail_length: int
-    period: int
-
-
 class RamificationProfile(NamedTuple):
     """Multiplicity structure of the level-n preimages of 0."""
 
@@ -140,10 +128,6 @@ class BadReduction(NamedTuple):
     primes: frozenset
     resultant: int
     unresolved_cofactor: Optional[int] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.unresolved_cofactor is None
 
 
 class RationalMap:
@@ -343,15 +327,11 @@ class RationalMap:
 
     # -- reduction ------------------------------------------------------------
 
-    def good_reduction(self, p: int) -> bool:
-        """phi reduces mod p to a map of the same degree.  The forms have
-        joint content 1, so this holds exactly when p does not divide their
-        resultant: the reduced forms then share no root on P^1 over F_p-bar."""
-        return self.resultant % p != 0
-
     def bad_reduction_primes(self, budget: int = DEFAULT_BUDGET) -> BadReduction:
         """The primes of the factored form resultant; any part the budget
-        leaves unsplit is reported as the unresolved cofactor."""
+        leaves unsplit is reported as the unresolved cofactor.  The forms
+        have joint content 1, so phi reduces mod p to a map of the same
+        degree exactly when p does not divide their resultant."""
         res = self.resultant
         if abs(res) == 1:
             return BadReduction(primes=frozenset(), resultant=res)
@@ -359,46 +339,6 @@ class RationalMap:
         return BadReduction(
             primes=frozenset(fac.primes()), resultant=res, unresolved_cofactor=fac.cofactor
         )
-
-    def reduce_residue(self, z, p: int):
-        """r_p(z): reduction of a point to F_p plus infinity."""
-        a, b = point_to_pair(as_point(z))
-        if b % p == 0:
-            return INFINITY
-        return a * pow(b, p - 2, p) % p
-
-    def residue_step(self, r, p: int):
-        """The induced map on F_p plus infinity at a good prime: the forms
-        at (r : 1), or at (1 : 0) for infinity, reduced mod p."""
-        pv, qv = self._eval_forms(*point_to_pair(r))
-        if qv % p == 0:
-            if pv % p == 0:
-                raise BadPrimeError(f"{p} is a prime of bad reduction")
-            return INFINITY
-        return pv * pow(qv, p - 2, p) % p
-
-    def reduce_and_step(self, z, p: int):
-        """Return (phi(r_p(z)), r_p(phi(z))); the pair is equal at good primes."""
-        if not self.good_reduction(p):
-            raise BadPrimeError(f"{p} is a prime of bad reduction")
-        stepped = self.residue_step(self.reduce_residue(z, p), p)
-        reduced = self.reduce_residue(self.evaluate(z), p)
-        return stepped, reduced
-
-    def residue_cycle(self, z, p: int) -> ResidueCycle:
-        """Tail and period of the forward orbit of a residue under the induced map."""
-        if not self.good_reduction(p):
-            raise BadPrimeError(f"{p} is a prime of bad reduction")
-        start = z if z is INFINITY else z % p
-        seen = {}
-        current = start
-        index = 0
-        while current not in seen:
-            seen[current] = index
-            current = self.residue_step(current, p)
-            index += 1
-        tail = seen[current]
-        return ResidueCycle(prime=p, start=start, tail_length=tail, period=index - tail)
 
     # -- structure ---------------------------------------------------------------
 

@@ -136,20 +136,16 @@ class Termination(NamedTuple):
 class OrbitRecord:
     """One orbit entry with its primitivity data."""
 
-    __slots__ = ("n", "value", "primitive_part", "has_primitive", "primitive_primes",
-                 "primes_unresolved", "squarefree_witness", "has_squarefree_primitive",
-                 "squarefree_unresolved", "factored")
+    __slots__ = ("n", "value", "primitive_part", "has_primitive", "squarefree_witness",
+                 "has_squarefree_primitive", "squarefree_unresolved", "factored")
 
     def __init__(self, n: int, value, primitive_part=None, has_primitive: Optional[bool] = None,
-                 primitive_primes: Optional[tuple] = None, primes_unresolved: bool = False,
                  squarefree_witness=None, has_squarefree_primitive: Optional[bool] = None,
                  squarefree_unresolved: bool = False, factored: Optional[FactoredValue] = None):
         self.n = n
         self.value = value
         self.primitive_part = primitive_part
         self.has_primitive = has_primitive
-        self.primitive_primes = primitive_primes
-        self.primes_unresolved = primes_unresolved
         self.squarefree_witness = squarefree_witness
         self.has_squarefree_primitive = has_squarefree_primitive
         self.squarefree_unresolved = squarefree_unresolved
@@ -267,26 +263,6 @@ def primitive_part(records, n: int, basis):
     return part
 
 
-def primitive_prime_factors(records, n: int, basis: ZeroOrbit, budget: int = DEFAULT_BUDGET):
-    """Primes of the primitive part (K = Q), each re-verified against the
-    definition: positive valuation at n, non-positive at every earlier level.
-    Returns (primes, unresolved); unresolved means the part did not factor
-    completely, so the list may be missing primes (never wrong ones)."""
-    part = primitive_part(records, n, basis)
-    if part == 1:
-        return (), False
-    fac = factor(part, budget=budget)
-    verified = []
-    for p in fac.primes():
-        numer_n = _IntValues.numerator(records[n - 1].value)
-        if numer_n % p != 0:
-            raise AssertionError("primitive part prime does not divide the numerator")
-        if any(_IntValues.numerator(records[m - 1].value) % p == 0 for m in range(1, n)):
-            raise AssertionError("primitive part prime divides an earlier numerator")
-        verified.append(p)
-    return tuple(verified), not fac.is_complete
-
-
 def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
                                precomputed: Optional[FactoredValue] = None):
     """A primitive prime with exponent exactly 1 in the n-th numerator, read
@@ -326,13 +302,10 @@ def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
     return None, False, fac
 
 
-def squarefree_primitive_witness_ff(records, n: int, part=None):
+def squarefree_primitive_witness_ff(part):
     """Over Q(t): the product of the multiplicity-1 irreducibles of the
-    primitive part (monic).  Nontrivial iff a square-free primitive prime
-    exists; no irreducible factorization is needed.  `part` passes the
-    primitive part when it was already stripped."""
-    if part is None:
-        part = primitive_part(records, n, _EveryEarlier)
+    primitive part `part` (monic).  Nontrivial iff a square-free primitive
+    prime exists; no irreducible factorization is needed."""
     if _PolyValues.is_unit(part):
         return None
     decomposition = polys.squarefree_decomposition(list(part))
@@ -416,7 +389,7 @@ def zsigmondy_report(
             rec.factored = fac
     else:
         for rec in sf_records:
-            witness = squarefree_primitive_witness_ff(records, rec.n, part=rec.primitive_part)
+            witness = squarefree_primitive_witness_ff(rec.primitive_part)
             rec.squarefree_witness = witness
             rec.has_squarefree_primitive = witness is not None
 

@@ -17,7 +17,11 @@ at powers of ten with int divmod, and map evaluation computes both forms
 before it checks the digit cap.  Good reduction is the literal
 two-condition test with its own F_p Euclid, and the height-bound constant W
 is solved against a matrix built column by column from the forms.  Canonical
-heights come from h(phi^N(alpha)) / d^N on the exact orbit.
+heights come from h(phi^N(alpha)) / d^N on the exact orbit.  The key lemma
+(at a prime of good reduction, reduction mod p commutes with phi) is checked
+by stepping a residue through the integral forms reduced mod p, against the
+reduction of `RationalMap.evaluate`; p-adic valuations are counted by
+repeated division.
 """
 
 from fractions import Fraction
@@ -400,6 +404,61 @@ def good_reduction_literal(rmap, p):
     affine = _fp_gcd_degree(rmap.numer_coeffs, rmap.denom_coeffs, p)
     at_infinity = _fp_gcd_degree(rmap._p_form[::-1], rmap._q_form[::-1], p)
     return affine == 0 and at_infinity == 0
+
+
+def valuation(x, p):
+    """Exact p-adic valuation of a nonzero rational (negative values allowed)."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("valuation of 0 is undefined")
+    v = 0
+    num = abs(x.numerator)
+    while num % p == 0:
+        num //= p
+        v += 1
+    den = x.denominator
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def reduce_residue(z, p):
+    """r_p(z): reduction of a point of P^1(Q) to F_p plus infinity."""
+    from orbitprimes.maps import INFINITY, as_point, point_to_pair
+
+    a, b = point_to_pair(as_point(z))
+    if b % p == 0:
+        return INFINITY
+    return a * pow(b, p - 2, p) % p
+
+
+def residue_step(rmap, r, p):
+    """The induced map on F_p plus infinity: the integral forms at (r : 1),
+    or at (1 : 0) for infinity, reduced mod p."""
+    from orbitprimes.maps import INFINITY, point_to_pair
+
+    a, b = point_to_pair(r)
+    d = rmap.degree
+    pv = sum(c * pow(a, k, p) * pow(b, d - k, p) for k, c in enumerate(rmap._p_form)) % p
+    qv = sum(c * pow(a, k, p) * pow(b, d - k, p) for k, c in enumerate(rmap._q_form)) % p
+    if qv == 0:
+        if pv == 0:
+            raise ValueError(f"{p} is a prime of bad reduction")
+        return INFINITY
+    return pv * pow(qv, p - 2, p) % p
+
+
+def reduce_and_step(rmap, z, p):
+    """(phi(r_p(z)), r_p(phi(z))): the two sides of the key lemma, equal at
+    every prime of good reduction (p not dividing the form resultant)."""
+    if rmap.resultant % p == 0:
+        raise ValueError(f"{p} is a prime of bad reduction")
+    stepped = residue_step(rmap, reduce_residue(z, p), p)
+    reduced = reduce_residue(rmap.evaluate(z), p)
+    return stepped, reduced
 
 
 def _solve_fractions(matrix, rhs):

@@ -1,4 +1,5 @@
-"""Function-field places: valuations, heights two ways, Mason inequality."""
+"""The function field Q(t): field axioms, heights two ways, square-free
+parts, Mason inequality."""
 
 import random
 from fractions import Fraction
@@ -7,14 +8,7 @@ import pytest
 
 from orbitprimes import polys
 from orbitprimes.exprparse import parse_polynomial
-from orbitprimes.ffplaces import (
-    FFElement,
-    FFPlace,
-    ff_height,
-    ff_valuation,
-    mason_check,
-    squarefree_part,
-)
+from orbitprimes.ffplaces import FFElement, ff_height, mason_check
 
 # small pool of polynomials irreducible over Q, used to build elements with
 # known place data
@@ -47,32 +41,13 @@ def build_element(rng, max_factors=4, max_exp=3):
     return FFElement(num, den), exponents
 
 
-def test_ff_valuation_examples():
-    f = FFElement.parse("t^2(t-1)")
-    assert ff_valuation(f, FFPlace.finite([0, 1])) == 2
-    assert ff_valuation(FFElement.parse("1/t"), FFPlace.infinite()) == 1
-    assert ff_valuation(FFElement.parse("(t^2+1)/t^3"), FFPlace.infinite()) == 1
-    with pytest.raises(ValueError):
-        ff_valuation(FFElement.from_const(0), FFPlace.infinite())
-
-
-def test_ff_valuation_matches_construction():
-    rng = random.Random(3)
-    for _ in range(200):
-        f, exponents = build_element(rng)
-        if f.is_zero:
-            continue
-        for pi, e in exponents.items():
-            place = FFPlace.finite(list(pi))
-            assert ff_valuation(f, place) == e
-
-
 def test_squarefree_part_examples():
-    assert squarefree_part([0, 0, 1, 1]) == [0, 1, 1]  # t^2(t+1) -> t(t+1)
-    assert squarefree_part([1, 0, 1]) == [1, 0, 1]
-    assert squarefree_part(polys.mul([-1, 1], polys.mul([-1, 1], polys.mul([-1, 1], [-1, 1])))) == [-1, 1]
+    assert polys.squarefree_part([0, 0, 1, 1]) == [0, 1, 1]  # t^2(t+1) -> t(t+1)
+    assert polys.squarefree_part([1, 0, 1]) == [1, 0, 1]
+    fourth_power = polys.mul([-1, 1], polys.mul([-1, 1], polys.mul([-1, 1], [-1, 1])))
+    assert polys.squarefree_part(fourth_power) == [-1, 1]
     with pytest.raises(ValueError):
-        squarefree_part([])
+        polys.squarefree_part([])
 
 
 def test_ff_height_examples():
@@ -83,21 +58,20 @@ def test_ff_height_examples():
 
 def test_ff_height_two_ways_and_product_formula():
     # degree formula vs the place sum over the known support plus infinity,
-    # and the product formula (all valuations weighted by degree sum to 0)
+    # and the product formula (all valuations weighted by degree sum to 0);
+    # the finite valuations are the exponents the element was built from
     rng = random.Random(4)
     for _ in range(1000):
         f, exponents = build_element(rng)
-        if f.is_zero or f.is_constant:
+        if f.is_zero:
             continue
-        places = [FFPlace.finite(list(pi)) for pi in exponents]
-        inf = FFPlace.infinite()
-        place_sum = -sum(
-            min(ff_valuation(f, place), 0) * place.degree for place in places
-        )
-        place_sum -= min(ff_valuation(f, inf), 0) * inf.degree
+        finite = [(e, len(pi) - 1) for pi, e in exponents.items()]
+        at_infinity = polys.degree(list(f.den)) - polys.degree(list(f.num))
+        place_sum = -sum(min(e, 0) * degree for e, degree in finite)
+        place_sum -= min(at_infinity, 0)
         assert place_sum == ff_height(f)
-        total = sum(ff_valuation(f, place) * place.degree for place in places)
-        total += ff_valuation(f, inf) * inf.degree
+        total = sum(e * degree for e, degree in finite)
+        total += at_infinity
         assert total == 0
 
 

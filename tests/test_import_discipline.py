@@ -2,8 +2,10 @@
 
 Each case runs `orbitprimes.cli.main` in a fresh interpreter and reads
 `sys.modules` afterwards: these are checks on module sets, not on times.
+The package's public names, which resolve lazily, are checked in-process.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -84,3 +86,21 @@ def test_zsigmondy_over_q_loads_the_cache_only_when_asked(tmp_path):
     assert "hashlib" not in modules
     package, modules = loaded(*COMMANDS["zsigmondy"], "--cache", str(tmp_path / "c.jsonl"))
     assert "cache" in package and "hashlib" in modules
+
+
+@pytest.mark.parametrize("command", ["abc", "roth-scan"])
+def test_q_abc_and_roth_scan_load_no_function_field_module(command):
+    package, _ = loaded(*COMMANDS[command])
+    assert "abclab" in package
+    assert "ffplaces" not in package
+
+
+def test_every_public_name_resolves_in_its_module():
+    import orbitprimes
+
+    for name in orbitprimes.__all__:
+        module = importlib.import_module(f"orbitprimes.{orbitprimes._MODULE_OF[name]}")
+        assert name in vars(module), name
+        assert getattr(orbitprimes, name) is vars(module)[name], name
+    with pytest.raises(AttributeError):
+        orbitprimes.not_a_public_name

@@ -1,5 +1,4 @@
-"""Integer places: factoring, valuations, radical mass, coprime bases,
-decimal input and output."""
+"""Integers: factoring, valuations, radical mass, decimal input and output."""
 
 import decimal
 import itertools
@@ -14,16 +13,14 @@ from hypothesis import strategies as st
 
 from orbitprimes import intplaces
 from orbitprimes.intplaces import (
-    coprime_basis,
     factor,
     from_decimal,
     is_probable_prime,
     log_int,
     radical_logmass,
     to_decimal,
-    valuation,
 )
-from oracles import to_decimal_by_powers_of_ten
+from oracles import to_decimal_by_powers_of_ten, valuation
 
 
 def test_factor_examples():
@@ -110,40 +107,6 @@ def test_radical_logmass():
 def test_log_int_large():
     n = 7**5000
     assert math.isclose(log_int(n), 5000 * math.log(7), rel_tol=1e-12)
-
-
-def test_coprime_basis_examples():
-    cb = coprime_basis([6, 15])
-    assert cb.elements == (2, 3, 5)
-    cb = coprime_basis([4, 8])
-    assert cb.elements == (2,)
-    assert cb.exponent_table == ((2,), (3,))
-    cb = coprime_basis([26, 5, 2])
-    assert set(cb.elements) == {2, 13, 5}
-    with pytest.raises(ValueError):
-        coprime_basis([6, 0])
-
-
-def test_coprime_basis_properties():
-    rng = random.Random(11)
-    for _ in range(100):
-        values = [rng.randint(2, 10**6) * rng.choice((1, -1)) for _ in range(rng.randint(1, 6))]
-        cb = coprime_basis(values)
-        for i, a in enumerate(cb.elements):
-            for b in cb.elements[i + 1 :]:
-                assert math.gcd(a, b) == 1
-        for v, row in zip(cb.inputs, cb.exponent_table):
-            rebuilt = 1
-            for b, e in zip(cb.elements, row):
-                rebuilt *= b**e
-            assert rebuilt == abs(v)
-        # refining by full factorization yields identical valuation data
-        for v, row in zip(cb.inputs, cb.exponent_table):
-            for b, e in zip(cb.elements, row):
-                fb = factor(b)
-                assert fb.is_complete
-                for p, pe in fb.prime_powers:
-                    assert valuation(v, p) == e * pe
 
 
 def test_deterministic_factoring():

@@ -22,12 +22,12 @@ from orbitprimes import (
     zsigmondy_report,
 )
 from orbitprimes.ffplaces import FFElement
-from orbitprimes.intplaces import valuation
+from orbitprimes.intplaces import factor
 from orbitprimes.zsigmondy import (
     ZeroOrbit,
+    _EveryEarlier,
     orbit,
     primitive_part,
-    primitive_prime_factors,
     squarefree_primitive_prime,
     squarefree_primitive_witness_ff,
 )
@@ -38,6 +38,7 @@ from oracles import (
     prop_old_screen_oracle,
     squarefree_full_factor_rule,
     squarefree_primitive_oracle,
+    valuation,
 )
 
 
@@ -92,18 +93,25 @@ def test_primitive_part_examples():
     assert primitive_part(records, 2, ZeroOrbit(sq)) == 1
 
 
+def primitive_primes(records, n, basis, budget=intplaces.DEFAULT_BUDGET):
+    """(primes of the factored primitive part, whether a cofactor is left)."""
+    fac = factor(primitive_part(records, n, basis), budget=budget)
+    return tuple(fac.primes()), not fac.is_complete
+
+
 def test_primitive_prime_factors_examples():
     m = RationalMap.parse("x^2+1")
     records, _ = orbit(m, 1, 5)
-    assert primitive_prime_factors(records, 3, ZeroOrbit(m)) == ((13,), False)
-    assert primitive_prime_factors(records, 4, ZeroOrbit(m)) == ((677,), False)
+    assert primitive_primes(records, 3, ZeroOrbit(m)) == ((13,), False)
+    assert primitive_primes(records, 4, ZeroOrbit(m)) == ((677,), False)
     sq = RationalMap.parse("x^2")
     records, _ = orbit(sq, 2, 3)
-    assert primitive_prime_factors(records, 3, ZeroOrbit(sq)) == ((), False)
+    assert primitive_primes(records, 3, ZeroOrbit(sq)) == ((), False)
 
 
 def test_primitive_primes_satisfy_definition(corpus_maps):
-    # every returned prime passes the literal valuation conditions
+    # every prime of the factored primitive part passes the literal
+    # valuation conditions
     for m in corpus_maps:
         depth = 6 if m.degree == 2 else 4
         records, _ = orbit(m, Fraction(3), depth)
@@ -113,7 +121,7 @@ def test_primitive_primes_satisfy_definition(corpus_maps):
                 break
             # unresolved (budget ran out on a huge primitive part) is a
             # legitimate data outcome; listed primes must still check out
-            primes, unresolved = primitive_prime_factors(records, rec.n, zero, budget=100_000)
+            primes, unresolved = primitive_primes(records, rec.n, zero, budget=100_000)
             for p in primes:
                 assert valuation(rec.value, p) > 0
                 for earlier in records[: rec.n - 1]:
@@ -354,7 +362,7 @@ def test_ff_witness_is_squarefree_and_new():
     m = RationalMapFF.parse("x^2+t")
     records, _ = orbit(m, FFElement.gen(), 4)
     for n in range(1, 5):
-        witness = squarefree_primitive_witness_ff(records, n)
+        witness = squarefree_primitive_witness_ff(primitive_part(records, n, _EveryEarlier))
         assert witness is not None
         w = list(witness)
         assert polys.degree(polys.gcd(w, polys.derivative(w))) == 0

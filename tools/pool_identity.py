@@ -35,7 +35,9 @@ JOB_TIMEOUT_S = 600
 # resultants 49, 1024, 75, 12 and 9 (so the forms' values share a factor g > 1),
 # an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops;
 # the canonical heights are of the same maps, at tolerances the exact orbit
-# reaches in seconds.
+# reaches in seconds.  The last lines run commands and formats no pool does:
+# heights of points over Q and Q(t), an orbit over Q(t) through a pole of t,
+# the bad primes of a resultant, and the csv and table renderers.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
@@ -59,6 +61,13 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "canonical-height --map (2x^2+1)/(x^2-1) --alpha 1 --tol 1e-4",
     "canonical-height --map x^2-3/4 --alpha 5/2 --tol 1e-5",
     "canonical-height --map x^2-2 --alpha 1/3 --tol 1e-4",
+    "height --point 3/4",
+    "height --point (t^2+1)/t^3 --field qt",
+    "orbit --map x^2+t --alpha 1/t --field qt --max-n 4",
+    "map-analyze --map (3x^2+1)/(x^2-2) --budget 20000",
+    "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 8 --squarefree-max-n 4 --budget 20000 "
+    "--format csv",
+    "galois-tower --a 3 --max-n 4 --format table",
 ))
 
 
