@@ -38,24 +38,6 @@ def _parse_point(text: str, field: str):
     return as_point(text)
 
 
-def _parse_ff_scan_poly(text: str):
-    """Polynomial in x with coefficients in Q(t)."""
-    from . import polys
-    from .exprparse import parse_rational_function
-    from .ffplaces import FFElement
-
-    one = FFElement.from_const(1)
-    num, den = parse_rational_function(
-        text, var="x", second_var="t", second_value=FFElement.gen(), one=one
-    )
-    g = polys.gcd(num, den)
-    num = polys.exact_div(num, g)
-    den = polys.exact_div(den, g)
-    if polys.degree(den) > 0:
-        raise _UsageError("F must be a polynomial in x")
-    return polys.strip([c / den[0] for c in num])
-
-
 def _cache_path(arg_path):
     if arg_path is None:
         return None
@@ -260,7 +242,8 @@ def _run_height(args):
 
     config = {"command": "height", "point": args.point, "field": args.field}
     point = _parse_point(args.point, args.field)
-    return reports.build_height(point_str(point), weil_height(point), config)
+    hv = weil_height(point, field="Q" if args.field == "q" else "Q(t)")
+    return reports.build_height(point_str(point), hv, config)
 
 
 def _run_canonical_height(args):
@@ -282,19 +265,20 @@ def _run_canonical_height(args):
 
 def _run_classify(args):
     from . import reports
-    from .heights import classify_point
+    from .heights import canonical_height, classify_point
     from .maps import RationalMap, point_str
 
     rmap = RationalMap.parse(args.map)
     alpha = _parse_point(args.alpha, "q")
     cls = classify_point(rmap, alpha, max_steps=args.max_steps)
+    est = canonical_height(rmap, alpha) if cls.kind == "wandering" else None
     config = {
         "command": "classify",
         "map": args.map,
         "alpha": args.alpha,
         "max_steps": args.max_steps,
     }
-    return reports.build_classify(rmap.to_string(), point_str(alpha), cls, config)
+    return reports.build_classify(rmap.to_string(), point_str(alpha), cls, est, config)
 
 
 def _run_map_analyze(args):
@@ -365,7 +349,10 @@ def _run_roth_scan(args):
         )
         config["height_bound"] = args.height_bound
     else:
-        F = _parse_ff_scan_poly(args.F)
+        from .ffplaces import FFElement
+
+        F = parse_polynomial(args.F, var="x", second_var="t", second_value=FFElement.gen(),
+                             one=FFElement.from_const(1))
         report = abclab.roth_scan_ff(
             F,
             args.epsilon,

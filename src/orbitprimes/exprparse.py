@@ -283,9 +283,12 @@ def parse_rational_function(text, var="x", second_var=None, second_value=None, o
     return num, den
 
 
-def parse_polynomial(text, var="x"):
-    """Parse an expression that must reduce to a polynomial in `var` over Q."""
-    num, den = parse_rational_function(text, var=var)
+def parse_polynomial(text, var="x", second_var=None, second_value=None, one=Fraction(1)):
+    """Parse an expression that must reduce to a polynomial in `var`, over Q
+    or over the scalars `one` (with parse_rational_function's arguments)."""
+    num, den = parse_rational_function(
+        text, var=var, second_var=second_var, second_value=second_value, one=one
+    )
     g = polys.gcd(num, den)
     num = polys.exact_div(num, g)
     den = polys.exact_div(den, g)

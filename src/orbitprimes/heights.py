@@ -8,10 +8,12 @@ container but are never mixed numerically.
 The height-change bound c_phi returned by phi_height_bound is rigorous on all
 of P^1(Q); the construction is documented in that function.
 
-Canonical heights over Q are sums of local parts (Call-Goldstine, J. Number
+One certificate proves alpha wandering: an orbit value above c_phi / (d-1),
+the bound on every preperiodic height (_walk_below_bound); classify_point
+decides on it, and the `classify` command prints canonical_height's interval.
+Past that bound canonical heights sum local parts (Call-Goldstine, J. Number
 Theory 63 (1997); Silverman, The Arithmetic of Dynamical Systems, 3.4-3.5
-and 5.9): past the small values where a preperiodic orbit must repeat, the
-archimedean part is iterated on outward-rounded dyadic balls and the part at
+and 5.9): the archimedean part on outward-rounded dyadic balls, the part at
 the primes of the resultant on the orbit mod a power of it, so no orbit
 value is built past small height.  The exact-orbit estimator
 h(phi^N(alpha)) / d^N is the test oracle.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import polys
@@ -44,13 +45,14 @@ class HeightValue(NamedTuple):
         return float(self.value)
 
 
-def weil_height(z) -> HeightValue:
+def weil_height(z, field: str = "Q") -> HeightValue:
     """h(z) = log max(|num|, |den|) over Q; max(deg num, deg den) over Q(t).
 
-    Conventions: h(0) = 0 and h(infinity) = 0 (the points (0:1) and (1:0))."""
+    Conventions: h(0) = 0 and h(infinity) = 0 (the points (0:1) and (1:0));
+    `field` ("Q" or "Q(t)") is the field infinity is read over."""
     z = as_point(z)
     if z is INFINITY:
-        return HeightValue(value=0.0, field="Q", log_arg=Fraction(1))
+        return HeightValue(0.0, "Q", Fraction(1)) if field == "Q" else HeightValue(0, "Q(t)")
     if not isinstance(z, Fraction):  # as_point passes an FFElement through
         from .ffplaces import ff_height
 
@@ -158,13 +160,12 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     """Estimate the canonical height of alpha with error radius <= tol.
 
     N is the least number of terms whose tail radius meets tol (tol / 2 once
-    the local sum takes over).  The orbit is walked exactly only while
-    h(phi^n(alpha)) <= c_phi / (d - 1), which bounds the height of every
-    preperiodic point: a repeat there gives an exact 0, and reaching N
-    there gives h(phi^N(alpha)) / d^N.  The first value beta = phi^n(alpha)
-    above the bound is wandering, and hhat(alpha) = hhat(beta) / d^n is
-    summed by local decomposition (_local_estimate), which builds no orbit
-    value past beta.
+    the local sum takes over).  The orbit is walked exactly only below the
+    wandering bound (_walk_below_bound): a repeat there gives an exact 0,
+    and reaching N or the digit cap there gives h(phi^N(alpha)) / d^N.  The
+    first value beta = phi^n(alpha) above the bound, n < N, is wandering,
+    and hhat(alpha) = hhat(beta) / d^n is summed by local decomposition
+    (_local_estimate), which builds no orbit value past beta.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -173,16 +174,9 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     target_n = 0
     while _tail_radius(c_phi, d, target_n) > tol:
         target_n += 1
-    screen = c_phi / (d - 1) + 1e-9  # a margin for the rounding of c_phi
-    walk = OrbitWalk(rmap, alpha)
-    n = 0
-    while walk.tail is None and n < target_n:
-        if height_float(walk.values[-1]) > screen:
-            return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
-        if next(walk, None) is None:
-            break  # the digit cap, below the wandering bound
-        n += 1
-    if walk.tail is not None:
+    walk, stop = _walk_below_bound(rmap, alpha, c_phi, target_n)
+    n = len(walk.values) - 1
+    if stop == "repeat":
         return CanonicalHeightEstimate(
             estimate=0.0,
             error_radius=0.0,
@@ -190,7 +184,28 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
             c_phi=c_phi,
             preperiodic=True,
         )
+    if stop == "above" and n < target_n:  # at n = N the walk has reached N
+        return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
     return _estimate_at_last(walk, c_phi, d)
+
+
+def _walk_below_bound(rmap, alpha, c_phi: float, steps: int):
+    """(walk, stop): the exact orbit of alpha, at most `steps` evaluations,
+    while its heights stay at most c_phi / (d - 1).  As |h - hhat| <= that
+    (Call-Silverman, Compositio Math. 89 (1993)), it bounds every preperiodic
+    height, and a value above it is wandering.  `stop` says what ended the
+    walk at walk.values[-1]: "repeat", "above" (the first value above the
+    bound), "cap" (the digit cap) or "steps" (phi^steps(alpha) below it)."""
+    bound = c_phi / (rmap.degree - 1) + 1e-9  # a margin for the rounding of c_phi
+    walk = OrbitWalk(rmap, alpha)
+    while walk.tail is None:
+        if height_float(walk.values[-1]) > bound:
+            return walk, "above"
+        if len(walk.values) > steps:
+            return walk, "steps"
+        if next(walk, None) is None:
+            return walk, "cap"
+    return walk, "repeat"
 
 
 def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
@@ -372,35 +387,23 @@ class PointClassification(NamedTuple):
     kind: str  # "wandering" | "preperiodic" | "inconclusive"
     tail: Optional[int] = None
     period: Optional[int] = None
-    height_estimate: Optional[CanonicalHeightEstimate] = None
     note: str = ""
 
 
 def classify_point(rmap: RationalMap, alpha, max_steps: int = 2000) -> PointClassification:
     """Decide wandering vs preperiodic with certificates.
 
-    Preperiodic: an exact repeat gives (tail, period).  Wandering: the running
-    canonical-height estimate strictly exceeds its rigorous error radius
-    (positive canonical height).  Inconclusive only when the step budget or
-    size cap prevents both certificates, which is reported, never silent.
+    Preperiodic: an exact repeat gives (tail, period).  Wandering: one of
+    alpha, phi(alpha), ..., phi^max_steps(alpha) lies above the wandering
+    bound of _walk_below_bound, so hhat(alpha) > 0.  Inconclusive only when
+    the step budget or the digit cap comes first, which is reported, never
+    silent.
     """
-    c_phi = phi_height_bound(rmap)
-    d = rmap.degree
-    walk = OrbitWalk(rmap, alpha)
-    for _ in islice(walk, max_steps):
-        if walk.tail is not None:
-            return PointClassification(kind="preperiodic", tail=walk.tail, period=walk.period)
-        est = _estimate_at_last(walk, c_phi, d)
-        if est.estimate > est.error_radius:
-            return PointClassification(kind="wandering", height_estimate=est)
-    if walk.cap_error is not None:
-        # The last value already dwarfs every preperiodic height.
-        est = _estimate_at_last(walk, c_phi, d)
-        if est.estimate > est.error_radius:
-            return PointClassification(kind="wandering", height_estimate=est)
-        return PointClassification(
-            kind="inconclusive", note="size cap reached before a certificate"
-        )
-    return PointClassification(
-        kind="inconclusive", note=f"no certificate within {max_steps} steps"
-    )
+    walk, stop = _walk_below_bound(rmap, alpha, phi_height_bound(rmap), max_steps)
+    if stop == "repeat":
+        return PointClassification(kind="preperiodic", tail=walk.tail, period=walk.period)
+    if stop == "above":
+        return PointClassification(kind="wandering")
+    note = ("size cap reached before a certificate" if stop == "cap"
+            else f"no certificate within {max_steps} steps")
+    return PointClassification(kind="inconclusive", note=note)

@@ -293,7 +293,7 @@ def build_canonical(map_str, alpha_str, est, config) -> dict:
     return envelope("canonical-height", config, data)
 
 
-def build_classify(map_str, alpha_str, cls, config) -> dict:
+def build_classify(map_str, alpha_str, cls, est, config) -> dict:
     data = {
         "map": map_str,
         "alpha": alpha_str,
@@ -302,9 +302,9 @@ def build_classify(map_str, alpha_str, cls, config) -> dict:
         "period": cls.period,
         "note": cls.note,
     }
-    if cls.height_estimate is not None:
-        data["height_estimate"] = cls.height_estimate.estimate
-        data["height_error_radius"] = cls.height_estimate.error_radius
+    if est is not None:
+        data["height_estimate"] = est.estimate
+        data["height_error_radius"] = est.error_radius
     return envelope("classify", config, data)
 
 

@@ -255,17 +255,44 @@ def test_canonical_height_meets_the_exact_orbit(num, den, alpha, tol):
 
 
 def test_classify_examples():
-    assert classify_point(RationalMap.parse("x^2-1"), 0).kind == "preperiodic"
     cls = classify_point(RationalMap.parse("x^2-1"), 0)
-    assert (cls.tail, cls.period) == (0, 2)
+    assert (cls.kind, cls.tail, cls.period) == ("preperiodic", 0, 2)
     cls = classify_point(RationalMap.parse("x^2"), 1)
-    assert (cls.tail, cls.period) == (0, 1)
-    wander = classify_point(RationalMap.parse("x^2+1"), 1)
-    assert wander.kind == "wandering"
-    assert wander.height_estimate.estimate > wander.height_estimate.error_radius
+    assert (cls.kind, cls.tail, cls.period) == ("preperiodic", 0, 1)
+    assert classify_point(RationalMap.parse("x^2+1"), 1) == ("wandering", None, None, "")
     inf_cls = classify_point(RationalMap.parse("x^2+1"), INFINITY)
-    assert inf_cls.kind == "preperiodic"
-    assert (inf_cls.tail, inf_cls.period) == (0, 1)
+    assert (inf_cls.kind, inf_cls.tail, inf_cls.period) == ("preperiodic", 0, 1)
+    # alpha itself above c_phi / (d - 1) needs no step
+    assert classify_point(RationalMap.parse("x^2+1"), 5, max_steps=0).kind == "wandering"
+    cls = classify_point(RationalMap.parse("x^2+1"), 1, max_steps=0)
+    assert cls == ("inconclusive", None, None, "no certificate within 0 steps")
+
+
+@pytest.mark.parametrize("expr, alpha, first_above", [
+    ("x^2+1000", 0, 2),  # 0, 1000, 1001000 (c_phi / (d - 1) = log 1001)
+    ("x^2+1", 1, 2),  # 1, 2, 5 (log 2)
+    ("x^2-2", Fraction(1, 3), 1),  # 1/3, -17/9 (log 3)
+    ("x^2", 2, 0),  # c_phi = 0
+])
+@pytest.mark.parametrize("max_steps", [0, 1, 2, 3])
+def test_classify_evaluates_at_most_max_steps(monkeypatch, expr, alpha, first_above, max_steps):
+    rmap = RationalMap.parse(expr)
+    calls = []
+    evaluate = RationalMap.evaluate
+    monkeypatch.setattr(RationalMap, "evaluate",
+                        lambda self, z: calls.append(z) or evaluate(self, z))
+    cls = classify_point(rmap, alpha, max_steps=max_steps)
+    assert len(calls) == min(max_steps, first_above)
+    assert cls.kind == ("wandering" if first_above <= max_steps else "inconclusive")
+
+
+def test_canonical_height_reaching_n_above_the_bound():
+    # x^2+1 from 1 at tol 0.5: N = 2 and phi^2(1) = 5 is the first value
+    # above the bound; reaching N there reads h(5) / 4 as the oracle does
+    rmap = RationalMap.parse("x^2+1")
+    est = canonical_height(rmap, 1, tol=0.5)
+    assert est == canonical_height_exact(rmap, 1, tol=0.5)
+    assert est.iterations_used == 2 and est.estimate == math.log(5) / 4
 
 
 def test_classify_random_consistency(corpus_maps):

@@ -480,6 +480,45 @@ def test_cli_qt_field():
     assert json.loads(proc.stdout)["data"]["value"] == 5
 
 
+def test_cli_height_of_infinity_over_qt():
+    # infinity over Q(t) reads like 0 over Q(t); over Q it keeps its log_arg
+    data = json.loads(run_cli("height", "--point", "inf", "--field", "qt").stdout)["data"]
+    zero = json.loads(run_cli("height", "--point", "0", "--field", "qt").stdout)["data"]
+    assert data == dict(zero, point="inf") == {"point": "inf", "field": "Q(t)", "value": 0}
+    assert isinstance(data["value"], int)
+    data = json.loads(run_cli("height", "--point", "inf").stdout)["data"]
+    assert data == {"point": "inf", "field": "Q", "value": 0.0, "log_arg": "1"}
+    assert isinstance(data["value"], float)
+
+
+def test_cli_roth_scan_qt_refuses_a_proper_rational_function():
+    proc = run_cli("roth-scan", "--field", "qt", "--F", "1/x")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: expected a polynomial in x, got a proper rational "
+                           "function (at position 0)\n")
+
+
+@pytest.mark.parametrize("expr, alpha", [
+    ("x^2+1", "1"), ("x^2-2", "1/3"), ("(3x^2+1)/(x^2-2)", "1"),
+])
+def test_cli_classify_prints_the_canonical_height(expr, alpha):
+    classify = json.loads(run_cli("classify", "--map", expr, "--alpha", alpha).stdout)["data"]
+    height = json.loads(run_cli("canonical-height", "--map", expr, "--alpha", alpha).stdout)
+    assert classify["kind"] == "wandering"
+    assert (classify["height_estimate"], classify["height_error_radius"]) == \
+        (height["data"]["estimate"], height["data"]["error_radius"])
+
+
+@pytest.mark.parametrize("args, kind", [
+    (("--map", "x^2-1", "--alpha", "0"), "preperiodic"),
+    (("--map", "x^2+1", "--alpha", "1", "--max-steps", "0"), "inconclusive"),
+])
+def test_cli_classify_without_a_wandering_certificate_prints_no_height(args, kind):
+    data = json.loads(run_cli("classify", *args).stdout)["data"]
+    assert data["kind"] == kind
+    assert "height_estimate" not in data and "height_error_radius" not in data
+
+
 @pytest.mark.parametrize("F", ["x^3-t*x+1", "x^3+t^2"])
 def test_cli_roth_scan_qt_minimum_at_zero_sample(F):
     # the minimum margin falls on the zero sample, whose argmin renders "0"

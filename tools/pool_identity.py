@@ -10,8 +10,8 @@ from CHANGE/src.  A cache pair runs twice per side, cold then warm, in a
 fresh cache directory of its own.  The two sides of one command line run at
 the same time.  Every command line whose exit code, stdout or stderr differ
 is printed, then `runs=N differ=M`; the exit code is 1 when M > 0.  A
-differing canonical-height line also says whether the two (estimate, radius)
-intervals meet, as perfbench/answers.py compares them.
+differing canonical-height or classify line also says whether the two
+(estimate, radius) intervals meet, as perfbench/answers.py compares them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,12 @@ JOB_TIMEOUT_S = 600
 # resultants 49, 1024, 75, 12 and 9 (so the forms' values share a factor g > 1),
 # an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops;
 # the canonical heights are of the same maps, at tolerances the exact orbit
-# reaches in seconds.  The last lines run commands and formats no pool does:
-# heights of points over Q and Q(t), an orbit over Q(t) through a pole of t,
-# the bad primes of a resultant, and the csv and table renderers.
+# reaches in seconds, plus the exits of the exact walk below c_phi / (d - 1):
+# c_phi = 0, and N reached below it.  The classify lines print the canonical
+# height of wandering points, or none at --max-steps 0.  The last lines run
+# commands and formats no pool does: heights of points over Q and Q(t) (and
+# infinity over Q(t)), an orbit over Q(t) through a pole of t, the bad primes
+# of a resultant, and the csv and table renderers.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
@@ -61,8 +64,15 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "canonical-height --map (2x^2+1)/(x^2-1) --alpha 1 --tol 1e-4",
     "canonical-height --map x^2-3/4 --alpha 5/2 --tol 1e-5",
     "canonical-height --map x^2-2 --alpha 1/3 --tol 1e-4",
+    "canonical-height --map x^2 --alpha 2",
+    "canonical-height --map x^2+1 --alpha 1 --tol 10",
+    "classify --map (3x^2+1)/(x^2-2) --alpha 1",
+    "classify --map x^2-2 --alpha 1/3",
+    "classify --map (x^2+3)/(2*x) --alpha=-5/3",
+    "classify --map x^2+1 --alpha 1 --max-steps 0",
     "height --point 3/4",
     "height --point (t^2+1)/t^3 --field qt",
+    "height --point inf --field qt",
     "orbit --map x^2+t --alpha 1/t --field qt --max-n 4",
     "map-analyze --map (3x^2+1)/(x^2-2) --budget 20000",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 8 --squarefree-max-n 4 --budget 20000 "
@@ -90,7 +100,8 @@ def run_side(root: Path, job):
 
 
 def _intervals(left: bytes, right: bytes) -> str:
-    """'meet', or what answers.compare finds, for two canonical-height reports."""
+    """'meet', or what answers.compare finds, for two reports with a height
+    interval (canonical-height, or classify of a wandering point)."""
     try:
         reference = answers.extract(json.loads(left)).reference()
         errors = answers.compare(reference, answers.extract(json.loads(right)))
@@ -117,7 +128,7 @@ def main(argv) -> int:
                     differ += 1
                     tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
                     print(f"differ{tag}: {job.key}", flush=True)
-                    if job.argv[0] == "canonical-height":
+                    if job.argv[0] in ("canonical-height", "classify"):
                         print(f"  intervals {_intervals(a[1], b[1])}", flush=True)
     print(f"runs={runs} differ={differ}")
     return 1 if differ else 0
