@@ -190,7 +190,7 @@ def _ff_poly_samples(max_degree: int, coeff_bound: int):
 
 
 def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
-                 coeff_bound: int = 2, budget: int = DEFAULT_BUDGET) -> RothScanReport:
+                 coeff_bound: int = 2) -> RothScanReport:
     """Function-field radical scan: z runs over polynomials in t of bounded
     degree and coefficient size (a documented deterministic family).
 

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="wandering / preperiodic classification")
     common(p)
-    p.add_argument("--max-steps", type=int, default=2000)
+    p.add_argument("--max-steps", type=int)  # heights.MAX_STEPS, read likewise
 
     p = sub.add_parser("map-analyze", help="bad reduction, power map, ramification verdict")
     common(p, with_alpha=False)
@@ -264,19 +264,19 @@ def _run_canonical_height(args):
 
 
 def _run_classify(args):
-    from . import reports
-    from .heights import canonical_height, classify_point
+    from . import heights, reports
     from .maps import RationalMap, point_str
 
+    max_steps = heights.MAX_STEPS if args.max_steps is None else args.max_steps
     rmap = RationalMap.parse(args.map)
     alpha = _parse_point(args.alpha, "q")
-    cls = classify_point(rmap, alpha, max_steps=args.max_steps)
-    est = canonical_height(rmap, alpha) if cls.kind == "wandering" else None
+    cls = heights.classify_point(rmap, alpha, max_steps=max_steps)
+    est = heights.canonical_height(rmap, alpha) if cls.kind == "wandering" else None
     config = {
         "command": "classify",
         "map": args.map,
         "alpha": args.alpha,
-        "max_steps": args.max_steps,
+        "max_steps": max_steps,
     }
     return reports.build_classify(rmap.to_string(), point_str(alpha), cls, est, config)
 
@@ -358,7 +358,6 @@ def _run_roth_scan(args):
             args.epsilon,
             max_degree=args.max_degree,
             coeff_bound=args.coeff_bound,
-            budget=_budget(args),
         )
         config["max_degree"] = args.max_degree
         config["coeff_bound"] = args.coeff_bound

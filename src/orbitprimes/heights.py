@@ -9,14 +9,16 @@ The height-change bound c_phi returned by phi_height_bound is rigorous on all
 of P^1(Q); the construction is documented in that function.
 
 One certificate proves alpha wandering: an orbit value above c_phi / (d-1),
-the bound on every preperiodic height (_walk_below_bound); classify_point
-decides on it, and the `classify` command prints canonical_height's interval.
-Past that bound canonical heights sum local parts (Call-Goldstine, J. Number
-Theory 63 (1997); Silverman, The Arithmetic of Dynamical Systems, 3.4-3.5
-and 5.9): the archimedean part on outward-rounded dyadic balls, the part at
-the primes of the resultant on the orbit mod a power of it, so no orbit
-value is built past small height.  The exact-orbit estimator
-h(phi^N(alpha)) / d^N is the test oracle.
+the bound on every preperiodic height.  classify_point and canonical_height
+walk the exact orbit below it the same way (_walk_below_bound, at most
+MAX_STEPS steps): a repeat is preperiodic, with canonical height exactly 0,
+and a value above it is wandering.  Otherwise canonical heights sum local
+parts from the walk's last value (Call-Goldstine, J. Number Theory 63
+(1997); Silverman, The Arithmetic of Dynamical Systems, 3.4-3.5 and 5.9):
+the archimedean part on outward-rounded dyadic balls, the part at the
+primes of the resultant on the orbit mod a power of it, so no orbit value
+is built past small height.  The exact-orbit estimator h(phi^N(alpha)) / d^N
+is the test oracle.
 """
 
 from __future__ import annotations
@@ -117,9 +119,8 @@ class CanonicalHeightEstimate(NamedTuple):
     """An interval estimate +- error_radius of the canonical height after
     N = iterations_used terms, the tail of the rest bounded by
     c_phi / (d^N * (1 - 1/d)).  `capped` flags a radius left above tol by the
-    precision cap or the float resolution of the estimate (or, on an orbit
-    that passes the digit cap below the wandering bound, by that cap);
-    `preperiodic` flags the exact-zero fast path (a repeated orbit value)."""
+    precision cap or the float resolution of the estimate; `preperiodic`
+    flags the exact 0 of a repeated orbit value."""
 
     estimate: float
     error_radius: float
@@ -138,17 +139,8 @@ def _tail_radius(c_phi: float, d: int, n: int) -> float:
         return float(Fraction(c_phi) / (d**n - d ** (n - 1)))
 
 
-def _estimate_at_last(walk: OrbitWalk, c_phi: float, d: int) -> CanonicalHeightEstimate:
-    """h(phi^N(alpha)) / d^N at the walk's last value phi^N(alpha)."""
-    n = len(walk.values) - 1
-    return CanonicalHeightEstimate(
-        estimate=height_float(walk.values[-1]) / d**n,
-        error_radius=_tail_radius(c_phi, d, n),
-        iterations_used=n,
-        c_phi=c_phi,
-        capped=walk.cap_error is not None,
-    )
-
+# The most evaluations of the exact walk below the wandering bound.
+MAX_STEPS = 2000
 
 # The archimedean sum runs on integers of this many bits first, and doubles
 # them while that shrinks the radius, up to the cap.
@@ -159,22 +151,17 @@ _MAX_BITS = 4096
 def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHeightEstimate:
     """Estimate the canonical height of alpha with error radius <= tol.
 
-    N is the least number of terms whose tail radius meets tol (tol / 2 once
-    the local sum takes over).  The orbit is walked exactly only below the
-    wandering bound (_walk_below_bound): a repeat there gives an exact 0,
-    and reaching N or the digit cap there gives h(phi^N(alpha)) / d^N.  The
-    first value beta = phi^n(alpha) above the bound, n < N, is wandering,
-    and hhat(alpha) = hhat(beta) / d^n is summed by local decomposition
-    (_local_estimate), which builds no orbit value past beta.
+    The orbit is walked exactly below the wandering bound, as classify_point
+    walks it (_walk_below_bound, at most MAX_STEPS steps).  A repeat there
+    gives an exact 0.  Otherwise the walk's last value beta = phi^n(alpha)
+    (the first above the bound, or the last below it before the digit cap or
+    the step limit) gives hhat(alpha) = hhat(beta) / d^n, summed by local
+    decomposition (_local_estimate), which builds no orbit value past beta.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     c_phi = phi_height_bound(rmap)
-    d = rmap.degree
-    target_n = 0
-    while _tail_radius(c_phi, d, target_n) > tol:
-        target_n += 1
-    walk, stop = _walk_below_bound(rmap, alpha, c_phi, target_n)
+    walk, stop = _walk_below_bound(rmap, alpha, c_phi, MAX_STEPS)
     n = len(walk.values) - 1
     if stop == "repeat":
         return CanonicalHeightEstimate(
@@ -184,9 +171,7 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
             c_phi=c_phi,
             preperiodic=True,
         )
-    if stop == "above" and n < target_n:  # at n = N the walk has reached N
-        return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
-    return _estimate_at_last(walk, c_phi, d)
+    return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
 
 
 def _walk_below_bound(rmap, alpha, c_phi: float, steps: int):
@@ -390,7 +375,7 @@ class PointClassification(NamedTuple):
     note: str = ""
 
 
-def classify_point(rmap: RationalMap, alpha, max_steps: int = 2000) -> PointClassification:
+def classify_point(rmap: RationalMap, alpha, max_steps: int = MAX_STEPS) -> PointClassification:
     """Decide wandering vs preperiodic with certificates.
 
     Preperiodic: an exact repeat gives (tail, period).  Wandering: one of

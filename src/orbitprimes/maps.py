@@ -156,8 +156,13 @@ class RationalMap:
         d = max(polys.degree(num_i), polys.degree(den_i))
         if d < 2:
             raise MapConstructionError(f"degree {d} map; need degree > 1")
-        common = polys.int_poly_gcd(num_i, den_i)
-        if polys.degree(common) > 0:
+        p_form = num_i + [0] * (d - polys.degree(num_i))
+        q_form = den_i + [0] * (d - polys.degree(den_i))
+        # One form has degree d, so (1 : 0) is not a common root, and the
+        # form resultant vanishes exactly when num and den share a root.
+        self.resultant = polys.form_resultant(p_form, q_form, d)
+        if self.resultant == 0:
+            common = polys.int_poly_gcd(num_i, den_i)
             raise MapConstructionError(
                 f"numerator and denominator share a root: common factor "
                 f"{polys.to_string(common)}"
@@ -166,13 +171,8 @@ class RationalMap:
         self.denom_coeffs = tuple(den_i)
         self.degree = d
         self.digit_cap = digit_cap
-        p_form = num_i + [0] * (d - polys.degree(num_i))
-        q_form = den_i + [0] * (d - polys.degree(den_i))
         self._p_form = tuple(p_form)
         self._q_form = tuple(q_form)
-        self.resultant = polys.form_resultant(list(p_form), list(q_form), d)
-        if self.resultant == 0:
-            raise InvariantError("form resultant vanished for a coprime pair")
         # A root (a : b) of q in lowest terms has |a|, |b| <= max |coefficient|
         # (a divides the lowest and b the highest nonzero one), so above this
         # height q(a, b) != 0 and evaluate reaches its cap check.

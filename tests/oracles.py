@@ -497,35 +497,41 @@ def lower_bound_norm_oracle(rmap):
 
 
 def canonical_height_exact(rmap, alpha, tol=1e-6):
-    """The exact-orbit estimator h(phi^N(alpha)) / d^N that
-    `heights.canonical_height` used before its local decomposition: N is
-    the least count whose tail radius meets tol, a repeat gives an exact 0,
-    and the digit cap stops it early with the capped flag set."""
-    from itertools import islice
+    """The exact-orbit estimator h(phi^N(alpha)) / d^N, computed here from
+    `RationalMap.evaluate` alone: N is the least count whose tail radius
+    c_phi / (d^N * (1 - 1/d)) meets tol, a repeat within N steps gives an
+    exact 0, and the digit cap stops the walk early with the capped flag set."""
+    from math import log
 
-    from orbitprimes.heights import (
-        CanonicalHeightEstimate,
-        _estimate_at_last,
-        _tail_radius,
-        phi_height_bound,
-    )
-    from orbitprimes.maps import OrbitWalk
+    from orbitprimes.errors import ResourceCapError
+    from orbitprimes.heights import CanonicalHeightEstimate, phi_height_bound
+    from orbitprimes.maps import INFINITY, as_point
 
     if not tol > 0:
         raise ValueError("tol must be positive")
     c_phi = phi_height_bound(rmap)
     d = rmap.degree
+
+    def tail(n):
+        return c_phi / (d**n * (1 - 1 / d))
+
     target_n = 0
-    while _tail_radius(c_phi, d, target_n) > tol:
+    while tail(target_n) > tol:
         target_n += 1
-    walk = OrbitWalk(rmap, alpha)
-    for n, _ in islice(walk, target_n):
-        if walk.tail is not None:
-            return CanonicalHeightEstimate(
-                estimate=0.0,
-                error_radius=0.0,
-                iterations_used=n,
-                c_phi=c_phi,
-                preperiodic=True,
-            )
-    return _estimate_at_last(walk, c_phi, d)
+    value = as_point(alpha)
+    seen = {value: 0}
+    n, capped = 0, False
+    while n < target_n:
+        try:
+            value = rmap.evaluate(value)
+        except ResourceCapError:
+            capped = True
+            break
+        n += 1
+        if value in seen:
+            return CanonicalHeightEstimate(estimate=0.0, error_radius=0.0, iterations_used=n,
+                                           c_phi=c_phi, preperiodic=True)
+        seen[value] = n
+    height = 0.0 if value is INFINITY else log(max(abs(value.numerator), value.denominator))
+    return CanonicalHeightEstimate(estimate=height / d**n, error_radius=tail(n),
+                                   iterations_used=n, c_phi=c_phi, capped=capped)

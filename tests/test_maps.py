@@ -74,8 +74,34 @@ def test_parse_examples():
         RationalMap.parse("x+3")
     with pytest.raises(MapConstructionError):
         RationalMap([1, 1], [1])  # degree 1
-    with pytest.raises(MapConstructionError):
+    with pytest.raises(MapConstructionError) as info:
         RationalMap([0, 1, 1], [0, 1])  # shared root x = 0
+    assert str(info.value) == "numerator and denominator share a root: common factor x"
+
+
+def test_construction_refuses_exactly_the_pairs_with_a_common_factor():
+    # the form resultant decides coprimality; a PRS gcd over Z[x] agrees.
+    # Half the pairs get a common factor x - r, which may cancel to degree < 2.
+    rng = random.Random(7)
+    shared_count = 0
+    for _ in range(300):
+        num = polys.strip([rng.randint(-2, 2) for _ in range(rng.randint(1, 4))])
+        den = polys.strip([rng.randint(-2, 2) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.5:
+            r = rng.randint(-2, 2)
+            num, den = polys.mul(num, [-r, 1]), polys.mul(den, [-r, 1])
+        if polys.is_zero(num) or polys.is_zero(den) or max(polys.degree(num),
+                                                          polys.degree(den)) < 2:
+            continue
+        shared = polys.degree(polys.int_poly_gcd(num, den)) > 0
+        shared_count += shared
+        try:
+            RationalMap(num, den)
+        except MapConstructionError as exc:
+            assert shared and "common factor" in str(exc)
+        else:
+            assert not shared
+    assert shared_count > 50
 
 
 def test_normalization():

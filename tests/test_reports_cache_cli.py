@@ -519,6 +519,13 @@ def test_cli_classify_without_a_wandering_certificate_prints_no_height(args, kin
     assert "height_estimate" not in data and "height_error_radius" not in data
 
 
+def test_cli_classify_step_limit_defaults_to_the_heights_one():
+    from orbitprimes.heights import MAX_STEPS
+
+    config = json.loads(run_cli("classify", "--map", "x^2+1", "--alpha", "1").stdout)["config"]
+    assert config["max_steps"] == MAX_STEPS == 2000
+
+
 @pytest.mark.parametrize("F", ["x^3-t*x+1", "x^3+t^2"])
 def test_cli_roth_scan_qt_minimum_at_zero_sample(F):
     # the minimum margin falls on the zero sample, whose argmin renders "0"

@@ -35,12 +35,13 @@ JOB_TIMEOUT_S = 600
 # resultants 49, 1024, 75, 12 and 9 (so the forms' values share a factor g > 1),
 # an orbit through infinity, preperiodic orbits, a hit on 0 and digit-cap stops;
 # the canonical heights are of the same maps, at tolerances the exact orbit
-# reaches in seconds, plus the exits of the exact walk below c_phi / (d - 1):
-# c_phi = 0, and N reached below it.  The classify lines print the canonical
-# height of wandering points, or none at --max-steps 0.  The last lines run
-# commands and formats no pool does: heights of points over Q and Q(t) (and
-# infinity over Q(t)), an orbit over Q(t) through a pole of t, the bad primes
-# of a resultant, and the csv and table renderers.
+# reaches in seconds, plus walks below c_phi / (d - 1) that go on past the N
+# a tolerance needs: with c_phi = 0 (N = 0) to a value above the bound or to
+# a repeat, and at --tol 10 to a repeat or above.  The classify lines print
+# the canonical height of wandering points, or none at --max-steps 0.  The
+# last lines run commands and formats no pool does: heights of points over Q
+# and Q(t) (and infinity over Q(t)), an orbit over Q(t) through a pole of t,
+# the bad primes of a resultant, and the csv and table renderers.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
@@ -66,6 +67,10 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "canonical-height --map x^2-2 --alpha 1/3 --tol 1e-4",
     "canonical-height --map x^2 --alpha 2",
     "canonical-height --map x^2+1 --alpha 1 --tol 10",
+    "canonical-height --map x^2 --alpha 1",
+    "canonical-height --map 1/x^2 --alpha 1",
+    "canonical-height --map x^2-1 --alpha 0 --tol 10",
+    "canonical-height --map x^2+1 --alpha 0 --tol 10",
     "classify --map (3x^2+1)/(x^2-2) --alpha 1",
     "classify --map x^2-2 --alpha 1/3",
     "classify --map (x^2+3)/(2*x) --alpha=-5/3",
