@@ -140,6 +140,7 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     coeff = polys.degree(F) - 2 - epsilon
+    lift, denominator = polys._lift(F)
     samples = []
     skipped = []
     inexact = 0
@@ -148,11 +149,10 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
             if int_gcd(abs(p), q) != 1:
                 continue
             z = Fraction(p, q)
-            value = polys.evaluate(F, z)
-            if value == 0:
+            num = _sample_numerator(lift, denominator, p, q)
+            if num == 0:
                 skipped.append(z)
                 continue
-            num = abs(value.numerator)
             if num == 1:
                 radsum, exact = 0.0, True
             else:
@@ -168,6 +168,18 @@ def roth_scan_q(F, epsilon: float, height_bound: int,
     return _scan_report("Q", polys.to_string(F), epsilon,
                         f"all reduced p/q with max(|p|,|q|) <= {height_bound}",
                         samples, skipped, inexact)
+
+
+def _sample_numerator(lift, denominator, p, q):
+    """|numerator| of F(p/q) in lowest terms, 0 at a root, for F = lift /
+    denominator and coprime p, q with q > 0.  F(p/q) = H / (denominator *
+    q^d) with H = sum lift[i] p^i q^(d-i), which two-variable Horner builds
+    in integers."""
+    h, qk = lift[-1], 1
+    for c in lift[-2::-1]:
+        qk *= q
+        h = h * p + c * qk
+    return abs(h) // int_gcd(h, denominator * qk)
 
 
 def _ff_poly_samples(max_degree: int, coeff_bound: int):

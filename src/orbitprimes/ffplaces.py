@@ -34,10 +34,12 @@ class FFElement:
         if not _reduced:
             if polys.is_zero(num):
                 den = [Fraction(1)]
-            else:
+            elif len(den) > 1:
+                # a constant denominator leaves a polynomial, already reduced
                 g = polys.gcd(num, den)
-                num = polys.exact_div(num, g)
-                den = polys.exact_div(den, g)
+                if len(g) > 1:
+                    num = polys.exact_div(num, g)
+                    den = polys.exact_div(den, g)
         lc = den[-1]
         if lc != 1:
             num = [c / lc for c in num]

@@ -189,7 +189,9 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
     before any rho step; returns the full FactoredValue when run to the end.
 
     A caller that stops iterating spends no rho step.  Every prime found
-    after trial division is larger than every yielded one.
+    after trial division is larger than every yielded one.  A leftover
+    below p^2, p the next trial prime, is 1 or proved prime, and is listed
+    without Miller-Rabin or rho.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -198,7 +200,9 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
     small = []
     for p in _small_primes():
         if p * p > n:
-            break
+            if n > 1:
+                small.append((n, 1))
+            return FactoredValue(sign=sign, prime_powers=tuple(small))
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -214,7 +218,8 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
 def rho_factor(n: int, budget: int) -> FactoredValue:
     """Factor a positive integer by Miller-Rabin and Brent rho alone, within
     `budget` rho steps: the stage of `factor` after trial division, whose
-    leftover is prime, 1, or free of primes below 10^4.  It is a plain
+    leftover is at least 9973^2 and free of primes below 10^4 (a smaller
+    leftover is 1 or proved prime, and never gets here).  It is a plain
     function, not part of the generator body, so that profiles and traces
     charge rho time to this module rather than to whoever drives the engine.
     """

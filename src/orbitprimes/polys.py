@@ -5,6 +5,13 @@ trailing zeros ([] is the zero polynomial).  All routines are generic over
 the coefficient field: they only use +, -, *, /, == and bool(), so they work
 for fractions.Fraction and for rational-function coefficients alike.
 
+Two routines take a faster road when every coefficient is an int or a
+Fraction.  `mul` multiplies the integer lifts (one common denominator per
+operand) and builds one Fraction per output coefficient.  `gcd` is the
+heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): it
+reads the gcd of two integer values off their xi-adic digits and confirms it
+by exact division in Z[x].
+
 Everything here is exact; nothing ever touches floating point.
 """
 
@@ -66,6 +73,8 @@ def sub(p, q):
 def mul(p, q):
     if not p or not q:
         return []
+    if _rational_coeffs(p) and _rational_coeffs(q):
+        return _rational_mul(p, q)
     out = [p[0] * q[0] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
@@ -73,6 +82,28 @@ def mul(p, q):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return strip(out)
+
+
+def _rational_mul(p, q):
+    """mul for int and Fraction coefficients, on the integer lifts: an int
+    convolution, then one Fraction per coefficient (ints stay ints)."""
+    (a, da), (b, db) = _lift(p), _lift(q)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    if all(type(c) is int for c in p + q):
+        return strip(out)
+    d = da * db
+    return strip([Fraction(c, d) for c in out])
+
+
+def _lift(p):
+    """(ints, d) with p == [c / d for c in ints]: d is the lcm of the
+    denominators of int and Fraction coefficients."""
+    d = lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
 
 
 def scale(p, c):
@@ -126,17 +157,17 @@ def monic(p):
 
 
 def gcd(p, q):
-    """Monic gcd.  Rational coefficients go through a primitive
-    pseudo-remainder sequence over the integers (naive fraction Euclid blows
-    up exponentially in coefficient size); other coefficient fields use the
-    plain Euclidean algorithm."""
+    """Monic gcd.  Rational coefficients go through `_heuristic_gcd` on the
+    content-1 integer lifts (naive fraction Euclid blows up exponentially in
+    coefficient size); other coefficient fields use the plain Euclidean
+    algorithm."""
     a, b = strip(p), strip(q)
     if is_zero(a):
         return monic(b)
     if is_zero(b):
         return monic(a)
     if _rational_coeffs(a) and _rational_coeffs(b):
-        return _gcd_primitive_prs(a, b)
+        return _heuristic_gcd(a, b)
     while not is_zero(b):
         a, b = b, mod(a, b)
     return monic(a)
@@ -146,46 +177,54 @@ def _rational_coeffs(p):
     return all(isinstance(c, (int, Fraction)) for c in p)
 
 
-def _int_pseudo_rem(a, b):
-    """a reduced mod b up to a power of lc(b), all in integers.
+def _heuristic_gcd(p, q):
+    """GCDHEU for nonzero rational p, q: the monic gcd, as Fractions.  With
+    a, b the content-1 integer lifts and xi >= 2 min(|a|, |b|) + 2, the
+    primitive part of the symmetric xi-adic digits of gcd(a(xi), b(xi)) is
+    the gcd whenever it divides both a and b; else xi grows.  The only
+    spurious factor, gcd(a'(xi), b'(xi)) of the cofactors, divides the
+    nonzero Res(a', b'), so some xi succeeds."""
+    if degree(p) == 0 or degree(q) == 0:
+        return [Fraction(1)]
+    a, b = to_integer(p), to_integer(q)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        h = int_gcd(evaluate(a, xi), evaluate(b, xi))
+        g = _symmetric_digits(h, xi)
+        c = content(g)
+        g = [v // c for v in g]
+        if _int_divides(g, a) and _int_divides(g, b):
+            return monic([Fraction(v) for v in g])
+        xi = xi * 73794 // 27011
 
-    The result is a nonzero rational multiple of the true remainder, which is
-    all a primitive remainder sequence needs (content is stripped anyway).
-    """
-    db = degree(b)
-    lc = b[-1]
+
+def _symmetric_digits(h, xi):
+    """The integer polynomial g with g(xi) = h and every |coefficient| <=
+    xi / 2; h > 0."""
+    g = []
+    while h:
+        h, r = divmod(h, xi)
+        if 2 * r > xi:
+            r -= xi
+            h += 1
+        g.append(r)
+    return g
+
+
+def _int_divides(g, a):
+    """Whether the integer polynomial g divides a in Z[x]: long division
+    that stops at the first quotient coefficient that is not an integer."""
+    dg = degree(g)
     rem = list(a)
-    while rem and degree(rem) >= db:
-        dr = degree(rem)
-        coeff = rem[-1]
-        rem = [lc * c for c in rem]
-        for i in range(db + 1):
-            rem[dr - db + i] -= coeff * b[i]
-        rem = strip(rem)
-    return rem
-
-
-def _primitive(p):
-    c = content(p)
-    out = [v // c for v in p]
-    if out[-1] < 0:
-        out = [-v for v in out]
-    return out
-
-
-def _gcd_primitive_prs(p, q):
-    a = to_integer(p)
-    b = to_integer(q)
-    if degree(a) < degree(b):
-        a, b = b, a
-    while b:
-        if degree(b) == 0:
-            return [Fraction(1)]
-        r = _int_pseudo_rem(a, b)
-        if not r:
-            break
-        a, b = b, _primitive(r)
-    return monic([Fraction(c) for c in b or a])
+    lc = g[-1]
+    for k in range(degree(a) - dg, -1, -1):
+        c, r = divmod(rem[k + dg], lc)
+        if r:
+            return False
+        if c:
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
+    return not any(rem[:dg])
 
 
 def derivative(p):
@@ -276,9 +315,7 @@ def to_integer(p):
     """
     if is_zero(p):
         return []
-    p = [Fraction(a) for a in p]
-    scale = lcm(*(a.denominator for a in p))
-    ints = [a.numerator * (scale // a.denominator) for a in p]
+    ints, _ = _lift([Fraction(a) for a in p])
     c = content(ints)
     return [a // c for a in ints]
 
@@ -287,11 +324,7 @@ def int_poly_gcd(p, q):
     """Gcd in Z[x]: primitive gcd with positive leading coefficient."""
     if is_zero(p) and is_zero(q):
         return []
-    g = gcd([Fraction(a) for a in p], [Fraction(a) for a in q])
-    out = to_integer(g)
-    if out and out[-1] < 0:
-        out = [-a for a in out]
-    return out
+    return to_integer(gcd(p, q))  # a monic gcd lifts with a positive lead
 
 
 def bareiss_determinant(matrix):

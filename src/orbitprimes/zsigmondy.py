@@ -221,8 +221,8 @@ class ZeroOrbit:
 
 class _EveryEarlier:
     """What a level is stripped against over Q(t): every earlier numerator
-    in full.  The orbit of 0 costs more than it saves there while the gcd
-    of Q(t) is a pseudo-remainder sequence (ROADMAP item 5)."""
+    in full.  Since the Q[t] gcd is a heuristic gcd, the orbit-of-0 strip
+    that Q uses could serve here too (ROADMAP item 11, step 1)."""
 
     domain = _PolyValues
 

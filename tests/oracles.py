@@ -21,7 +21,8 @@ heights come from h(phi^N(alpha)) / d^N on the exact orbit.  The key lemma
 (at a prime of good reduction, reduction mod p commutes with phi) is checked
 by stepping a residue through the integral forms reduced mod p, against the
 reduction of `RationalMap.evaluate`; p-adic valuations are counted by
-repeated division.
+repeated division.  The Q[x] gcd is a primitive pseudo-remainder sequence
+over Z, not the library's heuristic gcd.
 """
 
 from fractions import Fraction
@@ -66,6 +67,55 @@ def sylvester_resultant(f, g):
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+def _int_pseudo_rem(a, b):
+    """a reduced mod b up to a power of lc(b), all in integers: a nonzero
+    rational multiple of the true remainder, or []."""
+    db = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    while rem and len(rem) - 1 >= db:
+        dr = len(rem) - 1
+        coeff = rem[-1]
+        rem = [lc * c for c in rem]
+        for i in range(db + 1):
+            rem[dr - db + i] -= coeff * b[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _primitive(p):
+    c = gcd(*p)
+    out = [v // c for v in p]
+    return [-v for v in out] if out[-1] < 0 else out
+
+
+def _int_lift(p):
+    p = [Fraction(c) for c in p]
+    scale = 1
+    for c in p:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    return _primitive([int(c * scale) for c in p])
+
+
+def prs_gcd(p, q):
+    """Monic gcd of nonzero rational polynomials (ascending coefficient
+    lists, no trailing zeros) by a primitive pseudo-remainder sequence over
+    Z, as Fractions."""
+    a, b = _int_lift(p), _int_lift(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [Fraction(1)]
+        r = _int_pseudo_rem(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    g = b or a
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def _trial_division(n, bound=100_000):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbitprimes import abc_quality, roth_scan_ff, roth_scan_q
+from orbitprimes import abc_quality, polys, roth_scan_ff, roth_scan_q
+from orbitprimes.abclab import _sample_numerator
+from orbitprimes.exprparse import parse_polynomial
 from orbitprimes.ffplaces import FFElement
 from orbitprimes.intplaces import factor, radical_logmass
 
@@ -149,3 +151,28 @@ def test_roth_reports_are_deterministic():
     a = roth_scan_q([2, 0, 0, 1], 1.0, 20)
     b = roth_scan_q([2, 0, 0, 1], 1.0, 20)
     assert a == b
+
+
+@pytest.mark.parametrize("text", ["4x^3-x", "2x^3-1/3*x+5/7", "x^3+2", "-3/2*x^4+x-7/5"])
+def test_integer_roth_numerator_matches_fraction_evaluation(text):
+    F = parse_polynomial(text)
+    lift, denominator = polys._lift(F)
+    roots = 0
+    for q in range(1, 16):
+        for p in range(-15, 16):
+            if math.gcd(abs(p), q) != 1:
+                continue
+            expected = abs(polys.evaluate(F, Fraction(p, q)).numerator)
+            assert _sample_numerator(lift, denominator, p, q) == expected
+            roots += expected == 0
+    assert roots == {"4x^3-x": 3}.get(text, 0)  # 4x^3 - x vanishes at 0 and +-1/2
+
+
+def test_roth_scan_q_rational_coefficients_and_rational_roots():
+    report = roth_scan_q([0, -1, 0, 4], 1.0, 6)
+    assert report.skipped == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+    report = roth_scan_q([Fraction(5, 7), Fraction(-1, 3), 0, 2], 1.0, 6)
+    # F(1) = 2 - 1/3 + 5/7 = 50/21: radical of 50 is 2 * 5
+    by_z = {s.z: s for s in report.samples}
+    assert math.isclose(by_z[Fraction(1)].radsum, math.log(10), abs_tol=1e-12)
+    assert report.skipped == ()

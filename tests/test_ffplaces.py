@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitprimes import polys
 from orbitprimes.exprparse import parse_polynomial
@@ -137,3 +140,44 @@ def test_ffelement_field_axioms():
     t = FFElement.gen()
     assert t**3 / t == t * t
     assert (1 / t).den == (0, 1)
+
+
+t_sym = sympy.symbols("t")
+small_rationals = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=7))
+t_polys = st.lists(small_rationals, min_size=0, max_size=4).map(polys.strip)
+# a third of the denominators are constants, so the no-gcd path runs often
+ff_elements = st.tuples(
+    t_polys, st.one_of(st.lists(small_rationals.filter(bool), min_size=1, max_size=1), t_polys)
+).filter(lambda nd: nd[1]).map(lambda nd: FFElement(*nd))
+
+
+def as_sympy(f):
+    num = sum(sympy.Rational(c.numerator, c.denominator) * t_sym**k for k, c in enumerate(f.num))
+    den = sum(sympy.Rational(c.numerator, c.denominator) * t_sym**k for k, c in enumerate(f.den))
+    return num / den
+
+
+def reduced_like_sympy(expr):
+    """(num, den) of sympy's cancel, denominator monic, as Fraction tuples."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num, den = sympy.Poly(num, t_sym, domain="QQ"), sympy.Poly(den, t_sym, domain="QQ")
+    lc = den.LC()
+    num, den = num * (1 / lc), den * (1 / lc)
+
+    def coeffs(p):
+        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())) if not p.is_zero else ()
+
+    return coeffs(num), (coeffs(den) if not num.is_zero else (Fraction(1),))
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=ff_elements, g=ff_elements, k=st.integers(-3, 3))
+def test_ffelement_arithmetic_matches_sympy_cancel(f, g, k):
+    results = [(f + g, as_sympy(f) + as_sympy(g)), (f - g, as_sympy(f) - as_sympy(g)),
+               (f * g, as_sympy(f) * as_sympy(g))]
+    if not g.is_zero:
+        results.append((f / g, as_sympy(f) / as_sympy(g)))
+    if k >= 0 or not f.is_zero:
+        results.append((f**k, as_sympy(f) ** k))
+    for got, expr in results:
+        assert (got.num, got.den) == reduced_like_sympy(expr)

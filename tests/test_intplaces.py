@@ -173,3 +173,29 @@ def test_from_decimal_takes_ascii_digits_only(short, long):
             from_decimal(literal)
     assert from_decimal("-" + LONG) == -int(LONG)
     assert from_decimal("007") == 7
+
+
+def test_trial_division_proves_the_leftover_prime(monkeypatch):
+    # below 9973^2 the trial-division loop always stops at p^2 > leftover,
+    # so the leftover is 1 or a proved prime and Miller-Rabin never runs
+    calls = []
+    probable = intplaces.is_probable_prime
+    monkeypatch.setattr(intplaces, "is_probable_prime", lambda m: calls.append(m) or probable(m))
+    rng = random.Random(21)
+    # the largest prime below 9973^2, and twice the largest below half of it
+    edges = [1, 2, 4, 9973, 10007, 9967 * 9973, 99460723, 2 * 49730339]
+    for n in edges + [rng.randrange(1, 9973**2) for _ in range(400)]:
+        f = factor(n)
+        assert dict(f.prime_powers) == sympy.factorint(n), n
+        assert f.is_complete and f.certified and f.sign == 1
+        assert factor(-n).prime_powers == f.prime_powers
+    assert calls == []
+
+
+def test_leftovers_past_trial_division_still_reach_miller_rabin(monkeypatch):
+    calls = []
+    probable = intplaces.is_probable_prime
+    monkeypatch.setattr(intplaces, "is_probable_prime", lambda m: calls.append(m) or probable(m))
+    f = factor(99999989)  # a prime above 9973^2 = 99460729
+    assert f.prime_powers == ((99999989, 1),) and f.certified
+    assert calls == [99999989]

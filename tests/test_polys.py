@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitprimes import polys
-from oracles import sylvester_resultant
+from oracles import prs_gcd, sylvester_resultant
 
 x = sympy.symbols("x")
 
@@ -225,3 +225,87 @@ def test_int_coefficients_divide_exactly(p, q):
         assert no_float(polys.squarefree_part(p)) == polys.squarefree_part(fp)
     if polys.degree(p) >= 1:
         assert no_float(polys.discriminant(p)) == polys.discriminant(fp)
+
+
+def from_sympy(poly):
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+big_rationals = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**20)),
+)
+rational_polys = st.lists(big_rationals, min_size=1, max_size=6).map(polys.strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=rational_polys, a=rational_polys, b=rational_polys)
+def test_gcd_matches_prs_oracle_and_sympy(g, a, b):
+    # g is a planted common factor; a and b may share more
+    p, q = polys.mul(g, a), polys.mul(g, b)
+    assume(p and q)
+    got = polys.gcd(p, q)
+    assert all(type(c) is Fraction for c in got) and got[-1] == 1
+    assert got == prs_gcd(p, q)
+    expected = sympy.gcd(to_sympy(p), to_sympy(q))
+    assert got == from_sympy(expected.monic())
+    assert polys.degree(got) >= polys.degree(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors=st.lists(st.tuples(rational_polys, st.integers(1, 4)), min_size=1, max_size=4))
+def test_squarefree_decomposition_matches_sympy_sqf_list(factors):
+    p = [Fraction(1)]
+    for f, e in factors:
+        assume(f)
+        for _ in range(e):
+            p = polys.mul(p, f)
+    assume(polys.degree(p) <= 30)
+    got = polys.squarefree_decomposition(p)
+    _, expected = sympy.sqf_list(to_sympy(p))
+    assert got == {e: from_sympy(f.monic()) for f, e in expected}
+
+
+def test_gcd_retries_when_the_first_evaluation_point_fails(monkeypatch):
+    # a = (x+1)(x-1), b = (x+1)(x-31): both lifts have norm-1 or norm-31
+    # coefficients, so xi starts at 2*1 + 29 = 31, where b vanishes.  Then
+    # gcd(a(31), b(31)) = a(31) reads back as a itself, which does not
+    # divide b, and only a larger xi gives x + 1.
+    a = polys.mul([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(1)])
+    b = polys.mul([Fraction(1), Fraction(1)], [Fraction(-31), Fraction(1)])
+    calls = []
+    digits = polys._symmetric_digits
+
+    def counted(h, xi):
+        calls.append(xi)
+        return digits(h, xi)
+
+    monkeypatch.setattr(polys, "_symmetric_digits", counted)
+    assert polys.gcd(a, b) == [Fraction(1), Fraction(1)]
+    assert calls[0] == 31 and len(calls) >= 2
+    assert polys.gcd(b, a) == prs_gcd(a, b)
+
+
+def test_gcd_of_constants_and_zero():
+    assert polys.gcd([Fraction(5)], [Fraction(1), Fraction(2)]) == [Fraction(1)]
+    assert polys.gcd([Fraction(0), Fraction(2)], [Fraction(3)]) == [Fraction(1)]
+    assert polys.gcd([], [Fraction(2), Fraction(4)]) == [Fraction(1, 2), Fraction(1)]
+    assert polys.gcd([], []) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=rational_polys, q=rational_polys, as_ints=st.booleans())
+def test_rational_mul_matches_the_field_convolution(p, q, as_ints):
+    if as_ints:
+        p = [int(c) for c in p]
+        q = [int(c) for c in q]
+    expected = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            expected[i + j] += Fraction(a) * b
+    got = polys.mul(p, q)
+    assert got == polys.strip(expected)
+    # ints stay ints, as in the generic loop; a Fraction anywhere makes all Fractions
+    kind = int if all(type(c) is int for c in p + q) else Fraction
+    assert all(type(c) is kind for c in got)

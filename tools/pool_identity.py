@@ -41,7 +41,11 @@ JOB_TIMEOUT_S = 600
 # the canonical height of wandering points, or none at --max-steps 0.  The
 # last lines run commands and formats no pool does: heights of points over Q
 # and Q(t) (and infinity over Q(t)), an orbit over Q(t) through a pole of t,
-# the bad primes of a resultant, and the csv and table renderers.
+# the bad primes of a resultant, and the csv and table renderers.  The final
+# three reach what the pools do not: every pool F is a monic integer cubic and
+# no pool line reaches degree 512, so they add a Q(t) square-free scan to
+# degree 512 (the Q[t] gcd on large inputs), a Roth scan over Q that skips the
+# rational roots of 4x^3 - x, and one of an F with denominators.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
@@ -83,6 +87,9 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 8 --squarefree-max-n 4 --budget 20000 "
     "--format csv",
     "galois-tower --a 3 --max-n 4 --format table",
+    "zsigmondy --map x^2+t --alpha 1 --field qt --max-n 10 --squarefree-max-n 10",
+    "roth-scan --F 4x^3-x --height-bound 15 --budget 50000",
+    "roth-scan --F 2x^3-1/3*x+5/7 --height-bound 12 --budget 50000",
 ))
 
 
