@@ -27,8 +27,8 @@ class FFElement:
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
             den = [Fraction(1)]
-        num = polys.strip([Fraction(c) for c in num])
-        den = polys.strip([Fraction(c) for c in den])
+        num = polys.strip([c if isinstance(c, Fraction) else Fraction(c) for c in num])
+        den = polys.strip([c if isinstance(c, Fraction) else Fraction(c) for c in den])
         if polys.is_zero(den):
             raise ZeroDivisionError("FFElement with zero denominator")
         if not _reduced:

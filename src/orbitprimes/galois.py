@@ -7,7 +7,8 @@ critical value is not a square in the level-n splitting field, hence the
 maximal index 2^(2^n) at that level.  Certificates are one-sided: absence of
 a certificate concludes nothing.  For positive a congruent to 1 or 2 mod 4
 the maximal index is known unconditionally at every level; the reports
-annotate that guarantee separately from the prime search.
+annotate that guarantee separately from the prime search.  The levels are
+independent: `tower_report` factors all their parts as one batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import ResourceCapError
 from .intplaces import DEFAULT_BUDGET
 from .maps import OrbitWalk, RationalMap
 from .polys import discriminant
-from .zsigmondy import OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_prime
+from .zsigmondy import (OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_prime,
+                        squarefree_primitive_primes)
 
 # the discriminant recursion is checked up to level 5 (degree 32)
 LEVEL_CAP = 5
@@ -131,7 +133,7 @@ def _check_admissible(a: int, depth: int) -> OrbitWalk:
 
 
 def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
-                      critical_walk: Optional[OrbitWalk] = None) -> GaloisTowerRecord:
+                      critical_walk: Optional[OrbitWalk] = None, found=None) -> GaloisTowerRecord:
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
     valuation 0 at every earlier critical value.
 
@@ -142,18 +144,17 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
     factored.  The orbit is that of 0 itself and x^2 + a has resultant 1,
     so the strip reads its divisors off the same walk.
     `critical_walk` passes an admissible walk of 0 to at least f^(n+1)(0)
-    that was already made.
+    that was already made; `found` passes the `squarefree_primitive_prime`
+    outcome for this level's part, when a batch already has it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     walk = critical_walk if critical_walk is not None else _check_admissible(a, n + 1)
     values = [v.numerator for v in walk.values[1 : n + 2]]
-    # a certificate is odd: 2 is stripped first, then the earlier values
-    odd = abs(values[-1])
-    odd >>= (odd & -odd).bit_length() - 1
-    records = [OrbitRecord(n=k, value=v) for k, v in enumerate(values[:-1] + [odd], start=1)]
-    part = primitive_part(records, n + 1, ZeroOrbit(_quadratic_map(a), walk))
-    certificate, unresolved, _ = squarefree_primitive_prime(part, budget=budget)
+    if found is None:
+        part = _certificate_part(values, ZeroOrbit(_quadratic_map(a), walk))
+        found = squarefree_primitive_prime(part, budget=budget)
+    certificate, unresolved, _ = found
     if certificate is not None:
         _validate_certificate(certificate, values)
         status = "certified"
@@ -161,6 +162,15 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
         status = "unresolved" if unresolved else "no-certificate"
     return GaloisTowerRecord(a=a, n=n, critical_value=values[-1], certificate=certificate,
                              status=status, stoll_guarantee=a > 0 and a % 4 in (1, 2))
+
+
+def _certificate_part(values, zero: ZeroOrbit) -> int:
+    """The odd part of values[-1] stripped against the earlier values."""
+    # a certificate is odd: 2 is stripped first, then the earlier values
+    odd = abs(values[-1])
+    odd >>= (odd & -odd).bit_length() - 1
+    records = [OrbitRecord(n=k, value=v) for k, v in enumerate(values[:-1] + [odd], start=1)]
+    return primitive_part(records, len(values), zero)
 
 
 def _validate_certificate(p: int, values):
@@ -182,9 +192,12 @@ def _validate_certificate(p: int, values):
 
 def tower_report(a: int, max_level: int, budget: int = DEFAULT_BUDGET):
     """Certificate search at every level n = 0..max_level, on one walk of
-    the critical orbit."""
+    the critical orbit, all levels factored as one batch."""
     if max_level < 0:
         return []
     walk = _check_admissible(a, max_level + 1)
-    return [stoll_certificate(a, n, budget=budget, critical_walk=walk)
-            for n in range(max_level + 1)]
+    values = [v.numerator for v in walk.values[1 : max_level + 2]]
+    zero = ZeroOrbit(_quadratic_map(a), walk)
+    parts = [_certificate_part(values[: n + 1], zero) for n in range(max_level + 1)]
+    return [stoll_certificate(a, n, budget=budget, critical_walk=walk, found=found)
+            for n, found in enumerate(squarefree_primitive_primes(parts, budget=budget))]

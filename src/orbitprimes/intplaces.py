@@ -7,17 +7,22 @@ error, so downstream verdicts can say "unresolved" rather than guess.
 `factor_engine` hands back the trial-division prime powers before any rho
 step, so a caller that needs only a small prime can stop there.
 All randomness is derived deterministically from the input, so repeated runs
-produce identical output.
+produce identical output, and `finish_factoring` may run the rho stages of
+independent numbers in forked workers, one per CPU the process may use.
 """
 
 from __future__ import annotations
 
 import decimal
+import marshal
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 from typing import NamedTuple, Optional
+
+from .errors import InvariantError
 
 DEFAULT_BUDGET = 2_000_000
 # digits allowed in an exact value: orbit values and constant power literals
@@ -88,7 +93,9 @@ def primality_is_certified(n: int) -> bool:
 
 def _brent_split(n, budget):
     """Try to find a nontrivial factor of odd composite n within `budget`
-    modular steps.  Deterministic parameter schedule.  Returns (factor, used)."""
+    modular steps.  Deterministic parameter schedule.  Returns (factor, used).
+    The budget is checked only when r doubles: `used` can reach about twice
+    `budget`."""
     used = 0
     y0, c = 2, 1
     m = 128
@@ -172,6 +179,8 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> FactoredValue:
     `budget` counts Brent-rho modular steps (iterations of y -> y^2 + c
     modulo the piece being split), summed over every piece.  Budget
     exhaustion is a data outcome (unresolved cofactor), not an error.
+    Rho checks the budget only when its cycle length doubles (see
+    `_brent_split`), so a call can spend up to about twice what remained.
     Listed exponents are exact: no listed prime divides the cofactor.
     This is `factor_engine` run to the end.
     """
@@ -193,6 +202,16 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
     below p^2, p the next trial prime, is 1 or proved prime, and is listed
     without Miller-Rabin or rho.
     """
+    sign, small, leftover = yield from trial_division(n)
+    if leftover == 1:
+        return FactoredValue(sign, small)
+    return finish_factoring([(sign, small, leftover)], budget)[0]
+
+
+def trial_division(n: int):
+    """The trial-division stage of `factor_engine`: yields what it yields,
+    returns (sign, prime powers, leftover); the leftover is 1, or at least
+    9973^2 and free of primes below 10^4."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -202,7 +221,7 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
         if p * p > n:
             if n > 1:
                 small.append((n, 1))
-            return FactoredValue(sign=sign, prime_powers=tuple(small))
+            return sign, tuple(small), 1
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -210,18 +229,26 @@ def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
                 n //= p
             small.append((p, e))
             yield p, e
-    rest = rho_factor(n, budget)
-    return FactoredValue(sign=sign, prime_powers=tuple(small) + rest.prime_powers,
-                         cofactor=rest.cofactor, certified=rest.certified)
+    return sign, tuple(small), n
+
+
+def finish_factoring(trials, budget: int) -> list:
+    """The factorizations `trial_division` results lead to, the rho stages
+    run on every CPU the process may use: each is a pure function of its
+    leftover and budget, so the list is the same for any worker count."""
+    rests = _parallel_map(lambda n: tuple(rho_factor(n, budget)), [t[2] for t in trials])
+    return [FactoredValue(sign, small + powers, cofactor, certified)
+            for (sign, small, _), (_, powers, cofactor, certified) in zip(trials, rests)]
 
 
 def rho_factor(n: int, budget: int) -> FactoredValue:
     """Factor a positive integer by Miller-Rabin and Brent rho alone, within
     `budget` rho steps: the stage of `factor` after trial division, whose
-    leftover is at least 9973^2 and free of primes below 10^4 (a smaller
-    leftover is 1 or proved prime, and never gets here).  It is a plain
-    function, not part of the generator body, so that profiles and traces
-    charge rho time to this module rather than to whoever drives the engine.
+    leftover is 1, or at least 9973^2 and free of primes below 10^4.  It is
+    a plain function, not part of the generator body, so that profiles and
+    traces charge rho time to this module rather than to whoever drives the
+    engine.  A `_brent_split` call may overrun what remained of the budget,
+    so the total spent can reach about twice `budget`.
     """
     powers = {}
     certified = True
@@ -262,6 +289,79 @@ def rho_factor(n: int, budget: int) -> FactoredValue:
         cofactor=cofactor,
         certified=certified,
     )
+
+
+_in_worker = False
+
+
+def _parallel_map(fn, items) -> list:
+    """[fn(x) for x in items], shared by the caller and forked workers, one
+    per further CPU in os.sched_getaffinity(0).  All take item indices,
+    largest item first, from one pipe; workers send (index, fn(x)) pairs
+    back with marshal, never fork and leave by os._exit, so the caller's
+    frames, buffers and exit hooks stay the parent's.  The parent reaps
+    every worker on every path.  A task that fails in a worker raises
+    InvariantError; one that fails in the caller raises as in sequence.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(items), len(affinity(0))) if len(items) > 1 and affinity else 1
+    if workers < 2 or _in_worker or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    if len(items) > 1024:  # 4-byte tasks fill 4096 bytes, the least a Linux pipe holds
+        return _parallel_map(fn, items[:1024]) + _parallel_map(fn, items[1024:])
+    order = sorted(range(len(items)), key=items.__getitem__, reverse=True)
+    task_r, task_w = os.pipe()
+    with open(task_w, "wb") as queue:
+        queue.write(b"".join(i.to_bytes(4, "little") for i in order))
+    fds, pids, replies = [task_r], [], None  # fds: what the parent holds open
+    try:
+        for _ in range(workers - 1):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, items, task_r, fds[-1])
+            pids.append(pid)
+            os.close(fds.pop())  # the worker's write end: its exit ends the reply
+        done = _take(fn, items, task_r)
+        replies = [open(fd, "rb", closefd=False).read() for fd in fds[1:]]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if replies is None:
+            from signal import SIGKILL  # lazily: only a batch that stops early needs it
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise InvariantError(f"a factoring worker failed: exit codes {codes}")
+    results = dict(done + [pair for reply in replies for pair in marshal.loads(reply)])
+    return [results[i] for i in range(len(items))]
+
+
+def _take(fn, items, task_r) -> list:
+    """(i, fn(items[i])) for each index i taken from the queue until it is
+    empty."""
+    done = []
+    while task := os.read(task_r, 4):
+        i = int.from_bytes(task, "little")
+        done.append((i, fn(items[i])))
+    return done
+
+
+def _worker(fn, items, task_r, result_w):
+    """A forked worker's body: it leaves only through os._exit."""
+    global _in_worker
+    _in_worker, code = True, 1
+    try:
+        with open(result_w, "wb") as reply:
+            reply.write(marshal.dumps(_take(fn, items, task_r)))
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def log_int(n: int) -> float:

@@ -315,7 +315,7 @@ def to_integer(p):
     """
     if is_zero(p):
         return []
-    ints, _ = _lift([Fraction(a) for a in p])
+    ints, _ = _lift([a if isinstance(a, Fraction) else Fraction(a) for a in p])
     c = content(ints)
     return [a // c for a in ints]
 

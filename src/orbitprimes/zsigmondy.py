@@ -5,7 +5,8 @@ primitive at level n exactly when it divides no earlier numerator, so
 existence reduces to "stripped part > 1".  Orbit numerators grow like d^n
 digits, which makes this the only workable route at depth; factoring only
 ever touches the (much smaller) primitive parts, and only for square-free
-verdicts.
+verdicts.  Those parts are independent, so a scan factors them as one
+batch, the rho stages on every CPU (`squarefree_primitive_primes`).
 
 Over Q the strip never takes a gcd of two orbit numerators.  Write A_n for
 the numerator of phi^n(alpha) and N_k for that of phi^k(0) (0 when
@@ -32,12 +33,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd as int_gcd
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import polys
 from .errors import ResourceCapError
-from .heights import PointClassification, classify_point, height_float
-from .intplaces import DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine, log_int
+from .intplaces import (DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine,
+                        finish_factoring, log_int, trial_division)
 from .maps import (
     INFINITY,
     OrbitWalk,
@@ -48,6 +49,9 @@ from .maps import (
     as_point,
     point_str,
 )
+
+if TYPE_CHECKING:
+    from .heights import PointClassification
 
 DEFAULT_PRIMITIVE_DEPTH = 12
 DEFAULT_SQUAREFREE_DEPTH = 7
@@ -279,27 +283,47 @@ def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
     factorization returned with it is then None, since none was completed.
 
     `precomputed` is a factorization of `part` made under the same budget
-    (from the cache), used instead of factoring again.
+    (from the cache, or by the rho batch of `squarefree_primitive_primes`),
+    used instead of factoring again.
     """
     if part == 1:
         return None, False, None
-    if precomputed is not None:
-        fac = precomputed
-    else:
-        engine = factor_engine(part, budget=budget)
-        try:
-            while True:
-                p, e = next(engine)
-                if e == 1:
-                    return p, False, None
-        except StopIteration as finished:
-            fac = finished.value
-    for p, e in fac.prime_powers:
-        if e == 1:
-            return p, False, fac
-    if not fac.is_complete:
-        return None, True, fac
-    return None, False, fac
+    if precomputed is None:
+        witness, precomputed = _first_simple_prime(factor_engine(part, budget=budget))
+        if witness is not None:
+            return witness, False, None
+    witness = next((p for p, e in precomputed.prime_powers if e == 1), None)
+    return witness, witness is None and not precomputed.is_complete, precomputed
+
+
+def squarefree_primitive_primes(parts, budget: int = DEFAULT_BUDGET, factor_cache=None) -> list:
+    """`squarefree_primitive_prime` of each part, the rho stages of all
+    parts run as one batch on every CPU (`intplaces.finish_factoring`).  A
+    part whose trial division settles it needs no rho step, and its own call
+    repeats that trial division.  A part in `factor_cache` (its
+    factorization under `budget`) skips both stages."""
+    factor_cache = factor_cache or {}
+    trials = {}
+    for part in parts:
+        if part != 1 and part not in factor_cache:
+            witness, trial = _first_simple_prime(trial_division(part))
+            if witness is None and trial[2] > 1:  # a leftover for rho
+                trials[part] = trial
+    known = dict(zip(trials, finish_factoring(list(trials.values()), budget)))
+    return [squarefree_primitive_prime(part, budget, known.get(part, factor_cache.get(part)))
+            for part in parts]
+
+
+def _first_simple_prime(engine):
+    """(p, None) at a factoring generator's first exponent-1 prime p, else
+    (None, what it returns)."""
+    try:
+        while True:
+            p, e = next(engine)
+            if e == 1:
+                return p, None
+    except StopIteration as finished:
+        return None, finished.value
 
 
 def squarefree_primitive_witness_ff(part):
@@ -369,7 +393,6 @@ def zsigmondy_report(
     """
     basis = _EveryEarlier if isinstance(rmap, RationalMapFF) else ZeroOrbit(rmap)
     domain = basis.domain
-    factor_cache = factor_cache or {}
     records, termination = orbit(rmap, alpha, depth)
     analyzable = [rec for rec in records
                   if rec.value is not INFINITY and rec.value != 0]
@@ -379,10 +402,9 @@ def zsigmondy_report(
 
     sf_records = [rec for rec in analyzable if rec.n <= squarefree_depth]
     if domain is _IntValues:
-        for rec in sf_records:
-            prime, unresolved, fac = squarefree_primitive_prime(
-                rec.primitive_part, budget=budget, precomputed=factor_cache.get(rec.primitive_part),
-            )
+        found = squarefree_primitive_primes([rec.primitive_part for rec in sf_records],
+                                            budget=budget, factor_cache=factor_cache)
+        for rec, (prime, unresolved, fac) in zip(sf_records, found):
             rec.squarefree_witness = prime
             rec.squarefree_unresolved = unresolved
             rec.has_squarefree_primitive = None if unresolved else prime is not None
@@ -401,6 +423,8 @@ def zsigmondy_report(
 
     zero_in_orbit = termination.zero_index
     if domain is _IntValues:
+        from .heights import classify_point
+
         classification = classify_point(rmap, alpha)
         try:
             ramification = rmap.dynamical_ramification_verdict(RAMIFICATION_NOTE_DEPTH)
@@ -477,6 +501,8 @@ def prop_old_diagnostic(
     a root of F hits 0 at level l iff gcd(F, A_l) != 1, and a root has period
     dividing k iff gcd(F, A_k - x*B_k) != 1.
     """
+    from .heights import height_float
+
     F = polys.strip([Fraction(c) for c in factor_poly])
     if polys.degree(F) < 1:
         raise ValueError("F must be non-constant")

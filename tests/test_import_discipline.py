@@ -88,6 +88,12 @@ def test_zsigmondy_over_q_loads_the_cache_only_when_asked(tmp_path):
     assert "cache" in package and "hashlib" in modules
 
 
+def test_galois_tower_loads_no_height_abc_function_field_or_cache_module():
+    package, _ = loaded(*COMMANDS["galois-tower"])
+    assert {"galois", "zsigmondy", "intplaces"} <= package
+    assert package.isdisjoint({"heights", "abclab", "ffplaces", "cache"})
+
+
 @pytest.mark.parametrize("command", ["abc", "roth-scan"])
 def test_q_abc_and_roth_scan_load_no_function_field_module(command):
     package, _ = loaded(*COMMANDS[command])

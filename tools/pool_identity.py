@@ -45,7 +45,10 @@ JOB_TIMEOUT_S = 600
 # three reach what the pools do not: every pool F is a monic integer cubic and
 # no pool line reaches degree 512, so they add a Q(t) square-free scan to
 # degree 512 (the Q[t] gcd on large inputs), a Roth scan over Q that skips the
-# rational roots of 4x^3 - x, and one of an F with denominators.
+# rational roots of 4x^3 - x, and one of an F with denominators.  The cache
+# pair at the end is a square-free scan whose top levels leave rho several
+# leftovers: cold, they are factored as one batch and stored; warm, they are
+# read back and skip rho.  No pool cache pair reaches rho.
 EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "orbit --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13",
     "zsigmondy --map (3x^2+1)/(x^2-2) --alpha 1 --max-n 13 --squarefree-max-n 4 --budget 20000",
@@ -90,7 +93,9 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "zsigmondy --map x^2+t --alpha 1 --field qt --max-n 10 --squarefree-max-n 10",
     "roth-scan --F 4x^3-x --height-bound 15 --budget 50000",
     "roth-scan --F 2x^3-1/3*x+5/7 --height-bound 12 --budget 50000",
-))
+)) + (workloads.Job("cache-pair", tuple(
+    "zsigmondy --map x^2+8 --alpha 3 --max-n 9 --squarefree-max-n 9 --budget 43000 "
+    "--cache sf-rho.jsonl".split())),)
 
 
 def run_side(root: Path, job):
