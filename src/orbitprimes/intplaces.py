@@ -7,8 +7,8 @@ error, so downstream verdicts can say "unresolved" rather than guess.
 `factor_engine` hands back the trial-division prime powers before any rho
 step, so a caller that needs only a small prime can stop there.
 All randomness is derived deterministically from the input, so repeated runs
-produce identical output, and `finish_factoring` may run the rho stages of
-independent numbers in forked workers, one per CPU the process may use.
+produce identical output, and `finish_factoring` may share the rho stages
+of independent numbers with forked workers, one per further CPU.
 """
 
 from __future__ import annotations
