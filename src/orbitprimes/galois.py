@@ -8,7 +8,8 @@ maximal index 2^(2^n) at that level.  Certificates are one-sided: absence of
 a certificate concludes nothing.  For positive a congruent to 1 or 2 mod 4
 the maximal index is known unconditionally at every level; the reports
 annotate that guarantee separately from the prime search.  The levels are
-independent: `tower_report` factors all their parts as one batch.
+independent: `tower_report` searches all their parts in one square-free
+search, and `stoll_certificate` is one level of it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import polys
-from .errors import ResourceCapError
+from .errors import InvariantError, ResourceCapError
 from .intplaces import DEFAULT_BUDGET
 from .maps import OrbitWalk, RationalMap
 from .polys import discriminant
-from .zsigmondy import (OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_prime,
-                        squarefree_primitive_primes)
+from .zsigmondy import OrbitRecord, ZeroOrbit, primitive_part, squarefree_primitive_primes
 
 # the discriminant recursion is checked up to level 5 (degree 32)
 LEVEL_CAP = 5
@@ -46,7 +46,7 @@ def _quadratic_map(a: int) -> RationalMap:
     return RationalMap([a, 0, 1], [1])
 
 
-def _critical_walk(a: int, length: int) -> OrbitWalk:
+def _walk_from_zero(a: int, length: int) -> OrbitWalk:
     """The orbit of 0 under x^2 + a, walked `length` steps; a value past the
     digit cap raises ResourceCapError."""
     walk = OrbitWalk(_quadratic_map(a), 0)
@@ -59,7 +59,7 @@ def _critical_walk(a: int, length: int) -> OrbitWalk:
 
 def critical_orbit(a: int, length: int):
     """f(0), f^2(0), ..., f^length(0) for f = x^2 + a."""
-    return [v.numerator for v in _critical_walk(a, length).values[1:]]
+    return [v.numerator for v in _walk_from_zero(a, length).values[1:]]
 
 
 class DiscRecursionCheck(NamedTuple):
@@ -123,7 +123,7 @@ def _check_admissible(a: int, depth: int) -> OrbitWalk:
     depth is an error naming the step where it shows."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    walk = _critical_walk(a, depth)
+    walk = _walk_from_zero(a, depth)
     if walk.tail is not None:
         raise ValueError(
             f"0 is preperiodic for x^2 + ({a}) within depth {walk.tail + walk.period}; "
@@ -132,10 +132,10 @@ def _check_admissible(a: int, depth: int) -> OrbitWalk:
     return walk
 
 
-def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
-                      critical_walk: Optional[OrbitWalk] = None, found=None) -> GaloisTowerRecord:
+def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET) -> GaloisTowerRecord:
     """Search f_a^(n+1)(0) for an odd prime with valuation 1 there and
-    valuation 0 at every earlier critical value.
+    valuation 0 at every earlier critical value: the level-n record of
+    `tower_report`.
 
     This is the odd primitive square-free prime of the orbit f(0), f^2(0),
     ... at f^(n+1)(0): only the odd part of the critical value coprime to
@@ -143,25 +143,10 @@ def stoll_certificate(a: int, n: int, budget: int = DEFAULT_BUDGET,
     preserves the exponents of the surviving primes, so only that part is
     factored.  The orbit is that of 0 itself and x^2 + a has resultant 1,
     so the strip reads its divisors off the same walk.
-    `critical_walk` passes an admissible walk of 0 to at least f^(n+1)(0)
-    that was already made; `found` passes the `squarefree_primitive_prime`
-    outcome for this level's part, when a batch already has it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    walk = critical_walk if critical_walk is not None else _check_admissible(a, n + 1)
-    values = [v.numerator for v in walk.values[1 : n + 2]]
-    if found is None:
-        part = _certificate_part(values, ZeroOrbit(_quadratic_map(a), walk))
-        found = squarefree_primitive_prime(part, budget=budget)
-    certificate, unresolved, _ = found
-    if certificate is not None:
-        _validate_certificate(certificate, values)
-        status = "certified"
-    else:
-        status = "unresolved" if unresolved else "no-certificate"
-    return GaloisTowerRecord(a=a, n=n, critical_value=values[-1], certificate=certificate,
-                             status=status, stoll_guarantee=a > 0 and a % 4 in (1, 2))
+    return tower_report(a, n, budget)[n]
 
 
 def _certificate_part(values, zero: ZeroOrbit) -> int:
@@ -177,27 +162,36 @@ def _validate_certificate(p: int, values):
     """Re-check the definitional valuation conditions for a certificate."""
     critical = values[-1]
     if p == 2:
-        raise AssertionError("certificate must be odd")
+        raise InvariantError("certificate must be odd")
     v = 0
     m = abs(critical)
     while m % p == 0:
         m //= p
         v += 1
     if v != 1:
-        raise AssertionError("certificate exponent is not 1")
+        raise InvariantError("certificate exponent is not 1")
     for earlier in values[:-1]:
         if earlier % p == 0:
-            raise AssertionError("certificate divides an earlier critical value")
+            raise InvariantError("certificate divides an earlier critical value")
 
 
 def tower_report(a: int, max_level: int, budget: int = DEFAULT_BUDGET):
     """Certificate search at every level n = 0..max_level, on one walk of
-    the critical orbit, all levels factored as one batch."""
+    the critical orbit, all levels in one square-free search."""
     if max_level < 0:
         return []
     walk = _check_admissible(a, max_level + 1)
     values = [v.numerator for v in walk.values[1 : max_level + 2]]
     zero = ZeroOrbit(_quadratic_map(a), walk)
     parts = [_certificate_part(values[: n + 1], zero) for n in range(max_level + 1)]
-    return [stoll_certificate(a, n, budget=budget, critical_walk=walk, found=found)
-            for n, found in enumerate(squarefree_primitive_primes(parts, budget=budget))]
+    records = []
+    for n, (certificate, unresolved, _) in enumerate(squarefree_primitive_primes(parts, budget)):
+        if certificate is not None:
+            _validate_certificate(certificate, values[: n + 1])
+            status = "certified"
+        else:
+            status = "unresolved" if unresolved else "no-certificate"
+        records.append(GaloisTowerRecord(a=a, n=n, critical_value=values[n],
+                                         certificate=certificate, status=status,
+                                         stoll_guarantee=a > 0 and a % 4 in (1, 2)))
+    return records

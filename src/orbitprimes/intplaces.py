@@ -4,7 +4,7 @@ integers and exact decimal input and output.
 Factoring is budgeted and degrades gracefully: when the effort budget runs
 out, the unsplit composite is reported as an explicit cofactor instead of an
 error, so downstream verdicts can say "unresolved" rather than guess.
-`factor_engine` hands back the trial-division prime powers before any rho
+`trial_division` hands back the prime powers below 10^4 before any rho
 step, so a caller that needs only a small prime can stop there.
 All randomness is derived deterministically from the input, so repeated runs
 produce identical output, and `finish_factoring` may share the rho stages
@@ -28,6 +28,7 @@ DEFAULT_BUDGET = 2_000_000
 # digits allowed in an exact value: orbit values and constant power literals
 DEFAULT_DIGIT_CAP = 10**6
 _TRIAL_BOUND = 10_000
+_PROVED_BELOW = 9973**2  # a trial-division leftover below it is 1 or a prime
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -182,36 +183,16 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> FactoredValue:
     Rho checks the budget only when its cycle length doubles (see
     `_brent_split`), so a call can spend up to about twice what remained.
     Listed exponents are exact: no listed prime divides the cofactor.
-    This is `factor_engine` run to the end.
     """
-    engine = factor_engine(n, budget)
-    while True:
-        try:
-            next(engine)
-        except StopIteration as finished:
-            return finished.value
-
-
-def factor_engine(n: int, budget: int = DEFAULT_BUDGET):
-    """Generator form of `factor`: yields each trial-division prime power
-    (p, e), p below 10^4, in ascending order and with its exact exponent,
-    before any rho step; returns the full FactoredValue when run to the end.
-
-    A caller that stops iterating spends no rho step.  Every prime found
-    after trial division is larger than every yielded one.  A leftover
-    below p^2, p the next trial prime, is 1 or proved prime, and is listed
-    without Miller-Rabin or rho.
-    """
-    sign, small, leftover = yield from trial_division(n)
-    if leftover == 1:
-        return FactoredValue(sign, small)
-    return finish_factoring([(sign, small, leftover)], budget)[0]
+    return finish_factoring([trial_division(n)], budget)[0]
 
 
 def trial_division(n: int):
-    """The trial-division stage of `factor_engine`: yields what it yields,
-    returns (sign, prime powers, leftover); the leftover is 1, or at least
-    9973^2 and free of primes below 10^4."""
+    """(sign, prime powers, leftover) of a nonzero integer after division by
+    the primes below 10^4: the powers (p, e), p | n, come in ascending order
+    with exact exponents.  Division stops once p^2 passes what is left, so
+    the leftover is 1, a prime below 9973^2 (proved by the division), or at
+    least 9973^2 and free of primes below 10^4."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -219,36 +200,38 @@ def trial_division(n: int):
     small = []
     for p in _small_primes():
         if p * p > n:
-            if n > 1:
-                small.append((n, 1))
-            return sign, tuple(small), 1
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 e += 1
                 n //= p
             small.append((p, e))
-            yield p, e
     return sign, tuple(small), n
 
 
 def finish_factoring(trials, budget: int) -> list:
-    """The factorizations `trial_division` results lead to, the rho stages
-    run on every CPU the process may use: each is a pure function of its
-    leftover and budget, so the list is the same for any worker count."""
-    rests = _parallel_map(lambda n: tuple(rho_factor(n, budget)), [t[2] for t in trials])
-    return [FactoredValue(sign, small + powers, cofactor, certified)
-            for (sign, small, _), (_, powers, cofactor, certified) in zip(trials, rests)]
+    """The factorizations that `trial_division` results lead to.  A leftover
+    below 9973^2 is listed as it is, with no test; the rest go to
+    `rho_factor`, run on every CPU the process may use: each is a pure
+    function of its leftover and budget, so the list is the same for any
+    worker count."""
+    big = [rest for _, _, rest in trials if rest >= _PROVED_BELOW]
+    rhos = dict(zip(big, _parallel_map(lambda n: tuple(rho_factor(n, budget)), big)))
+    factored = []
+    for sign, small, rest in trials:
+        proved = ((rest, 1),) if 1 < rest < _PROVED_BELOW else ()
+        _, powers, cofactor, certified = rhos.get(rest, (1, proved, None, True))
+        factored.append(FactoredValue(sign, small + powers, cofactor, certified))
+    return factored
 
 
 def rho_factor(n: int, budget: int) -> FactoredValue:
     """Factor a positive integer by Miller-Rabin and Brent rho alone, within
-    `budget` rho steps: the stage of `factor` after trial division, whose
-    leftover is 1, or at least 9973^2 and free of primes below 10^4.  It is
-    a plain function, not part of the generator body, so that profiles and
-    traces charge rho time to this module rather than to whoever drives the
-    engine.  A `_brent_split` call may overrun what remained of the budget,
-    so the total spent can reach about twice `budget`.
+    `budget` rho steps: the stage of `factor` after trial division, for a
+    leftover of at least 9973^2 free of primes below 10^4.  A `_brent_split`
+    call may overrun what remained of the budget, so the total spent can
+    reach about twice `budget`.
     """
     powers = {}
     certified = True

@@ -5,8 +5,9 @@ primitive at level n exactly when it divides no earlier numerator, so
 existence reduces to "stripped part > 1".  Orbit numerators grow like d^n
 digits, which makes this the only workable route at depth; factoring only
 ever touches the (much smaller) primitive parts, and only for square-free
-verdicts.  Those parts are independent, so a scan factors them as one
-batch, the rho stages on every CPU (`squarefree_primitive_primes`).
+verdicts.  Each part is trial-divided once, and those parts whose verdict
+needs more are factored as one batch, the rho stages on every CPU
+(`squarefree_primitive_primes`, the one square-free search over Q).
 
 Over Q the strip never takes a gcd of two orbit numerators.  Write A_n for
 the numerator of phi^n(alpha) and N_k for that of phi^k(0) (0 when
@@ -37,8 +38,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import polys
 from .errors import ResourceCapError
-from .intplaces import (DEFAULT_BUDGET, FactoredValue, LogMass, factor, factor_engine,
-                        finish_factoring, log_int, trial_division)
+from .intplaces import (DEFAULT_BUDGET, FactoredValue, LogMass, factor, finish_factoring,
+                        log_int, trial_division)
 from .maps import (
     INFINITY,
     OrbitWalk,
@@ -267,63 +268,51 @@ def primitive_part(records, n: int, basis):
     return part
 
 
-def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET,
-                               precomputed: Optional[FactoredValue] = None):
+def squarefree_primitive_prime(part: int, budget: int = DEFAULT_BUDGET):
     """A primitive prime with exponent exactly 1 in the n-th numerator, read
     off its primitive part `part`, or None, or unresolved when the part
-    resists the factoring budget.
+    resists the factoring budget: `squarefree_primitive_primes` of [part].
 
     Gcd-stripping removes shared primes wholesale, so the exponents of the
     surviving primes inside the primitive part equal their exponents in the
     full numerator; only the primitive part ever needs factoring.
-
-    The factoring engine hands back its trial-division primes in ascending
-    order before any rho step, and every later prime is larger, so the first
-    exponent-1 prime among them is the answer and rho is skipped; the
-    factorization returned with it is then None, since none was completed.
-
-    `precomputed` is a factorization of `part` made under the same budget
-    (from the cache, or by the rho batch of `squarefree_primitive_primes`),
-    used instead of factoring again.
     """
-    if part == 1:
-        return None, False, None
-    if precomputed is None:
-        witness, precomputed = _first_simple_prime(factor_engine(part, budget=budget))
-        if witness is not None:
-            return witness, False, None
-    witness = next((p for p, e in precomputed.prime_powers if e == 1), None)
-    return witness, witness is None and not precomputed.is_complete, precomputed
+    return squarefree_primitive_primes([part], budget)[0]
 
 
 def squarefree_primitive_primes(parts, budget: int = DEFAULT_BUDGET, factor_cache=None) -> list:
-    """`squarefree_primitive_prime` of each part, the rho stages of all
-    parts run as one batch on every CPU (`intplaces.finish_factoring`).  A
-    part whose trial division settles it needs no rho step, and its own call
-    repeats that trial division.  A part in `factor_cache` (its
+    """(witness, unresolved, factorization) for each primitive part.
+
+    Each part is trial-divided once.  Its divided primes come in ascending
+    order, and every other prime of the part is larger, so the first of
+    exponent 1 among them is the witness and the part needs nothing more;
+    its factorization is then None, since none was completed.  The other
+    parts are completed as one batch, the rho stages on every CPU
+    (`intplaces.finish_factoring`).  A part in `factor_cache` (its
     factorization under `budget`) skips both stages."""
     factor_cache = factor_cache or {}
-    trials = {}
+    settled, trials = {1: (None, False, None)}, {}
     for part in parts:
-        if part != 1 and part not in factor_cache:
-            witness, trial = _first_simple_prime(trial_division(part))
-            if witness is None and trial[2] > 1:  # a leftover for rho
+        if part not in settled and part not in trials and part not in factor_cache:
+            trial = trial_division(part)
+            witness = _first_simple_prime(trial[1])
+            if witness is None:
                 trials[part] = trial
-    known = dict(zip(trials, finish_factoring(list(trials.values()), budget)))
-    return [squarefree_primitive_prime(part, budget, known.get(part, factor_cache.get(part)))
+            else:
+                settled[part] = (witness, False, None)
+    factored = dict(zip(trials, finish_factoring(list(trials.values()), budget)))
+    return [settled.get(part) or _verdict(factored.get(part, factor_cache.get(part)))
             for part in parts]
 
 
-def _first_simple_prime(engine):
-    """(p, None) at a factoring generator's first exponent-1 prime p, else
-    (None, what it returns)."""
-    try:
-        while True:
-            p, e = next(engine)
-            if e == 1:
-                return p, None
-    except StopIteration as finished:
-        return None, finished.value
+def _verdict(factored: FactoredValue):
+    witness = _first_simple_prime(factored.prime_powers)
+    return witness, witness is None and not factored.is_complete, factored
+
+
+def _first_simple_prime(prime_powers):
+    """The first p of the (p, e) pairs with e = 1, else None."""
+    return next((p for p, e in prime_powers if e == 1), None)
 
 
 def squarefree_primitive_witness_ff(part):

@@ -6,13 +6,16 @@ import pytest
 import sympy
 
 from orbitprimes import (
+    InvariantError,
     disc_recursion_check,
     discriminant,
+    galois,
     quadratic_iterate,
     stoll_certificate,
     tower_report,
 )
-from orbitprimes.galois import critical_orbit
+from orbitprimes.cli import main
+from orbitprimes.galois import _validate_certificate, critical_orbit
 
 x = sympy.symbols("x")
 
@@ -102,6 +105,18 @@ def test_certificate_validation_conditions():
             from math import gcd
 
             assert gcd(p, abs(product)) == 1
+
+
+def test_a_forged_certificate_is_an_invariant_error(monkeypatch, capsys):
+    # 3 does not divide 5, the level-2 critical value of x^2 + 1
+    with pytest.raises(InvariantError, match="exponent is not 1"):
+        _validate_certificate(3, critical_orbit(1, 3))
+    monkeypatch.setattr(galois, "squarefree_primitive_primes",
+                        lambda parts, budget: [(3, False, None)] * len(parts))
+    with pytest.raises(InvariantError):
+        stoll_certificate(1, 2)
+    assert main(["galois-tower", "--a", "1", "--max-n", "2"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_admissibility_checks():

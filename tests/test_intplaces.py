@@ -1,7 +1,6 @@
 """Integers: factoring, valuations, radical mass, decimal input and output."""
 
 import decimal
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -123,11 +122,33 @@ def test_factor_exponents_exact_past_the_budget():
     assert f.reconstruct() == p * p * q * r
 
 
-def test_factor_engine_yields_trial_division_in_order():
+def test_trial_division_lists_divided_primes_in_order():
     n = 2**3 * 3 * 7919**2 * 1000003 * (2**31 - 1)
-    engine = intplaces.factor_engine(n)
-    assert list(itertools.islice(engine, 3)) == [(2, 3), (3, 1), (7919, 2)]
+    assert intplaces.trial_division(n) == (1, ((2, 3), (3, 1), (7919, 2)), 1000003 * (2**31 - 1))
+    assert intplaces.trial_division(-4 * 9973 * 10007) == (-1, ((2, 2), (9973, 1)), 10007)
+    assert intplaces.trial_division(-1) == (-1, (), 1)
     assert factor(n).prime_powers == ((2, 3), (3, 1), (7919, 2), (1000003, 1), (2**31 - 1, 1))
+
+
+TRIAL_PRIMES = (2, 3, 5, 7, 97, 7919, 9967, 9973)
+PAST_TRIAL_PRIMES = (10007, 99991, 99460723, 99999989, 2**31 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small=st.dictionaries(st.sampled_from(TRIAL_PRIMES), st.integers(1, 3), max_size=3),
+       large=st.dictionaries(st.sampled_from(PAST_TRIAL_PRIMES), st.integers(1, 2), max_size=2),
+       other=st.integers(1, 10**12), negative=st.booleans())
+def test_trial_division_leftover_contract(small, large, other, negative):
+    n = math.prod(p**e for p, e in {**small, **large}.items()) * other * (-1 if negative else 1)
+    sign, powers, leftover = intplaces.trial_division(n)
+    assert sign * math.prod(p**e for p, e in powers) * leftover == n
+    primes = [p for p, _ in powers]
+    assert primes == sorted(set(primes)) and all(p < 10**4 and sympy.isprime(p) for p in primes)
+    assert all(leftover % p for p in primes)  # exact exponents
+    if leftover < 9973**2:
+        assert leftover == 1 or sympy.isprime(leftover)
+    else:
+        assert all(leftover % p for p in sympy.primerange(10**4))
 
 
 DECIMAL_EDGES = [0, 1, -1, -12345, 2**1999, 2**2000 - 1, -(2**2000 - 1), 2**2000, 2**2001 - 1,

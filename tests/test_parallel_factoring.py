@@ -104,6 +104,26 @@ def test_cached_levels_skip_the_rho_batch(monkeypatch):
     assert len(batches) == 1 and len(batches[0]) == 1  # level 8's; level 7 is cached
 
 
+# n -> its trial division: leftover 1, proved-prime leftovers (9973, and
+# 99460723 < 9973^2) and negative n
+SETTLED_TRIALS = {
+    2**5 * 3**2: (1, ((2, 5), (3, 2)), 1),
+    7919 * 9973: (1, ((7919, 1),), 9973),
+    -2 * 99460723: (-1, ((2, 1),), 99460723),
+    -12: (-1, ((2, 2),), 3),
+    -36: (-1, ((2, 2), (3, 2)), 1),
+    -1: (-1, (), 1),
+}
+
+
+def test_leftovers_that_trial_division_settles_never_fork(monkeypatch):
+    expected = [intplaces.factor(n) for n in SETTLED_TRIALS]
+    use_cpus(monkeypatch, 2)
+    refuse_forks(monkeypatch)
+    assert intplaces.finish_factoring(list(SETTLED_TRIALS.values()), 1000) == expected
+    assert [intplaces.trial_division(n) for n in SETTLED_TRIALS] == list(SETTLED_TRIALS.values())
+
+
 def test_without_fork_a_scan_runs_in_sequence(monkeypatch):
     use_cpus(monkeypatch, 2)
     _, expected = scan(*SCAN)

@@ -19,6 +19,7 @@ from orbitprimes import (
     intplaces,
     polys,
     prop_old_diagnostic,
+    zsigmondy,
     zsigmondy_report,
 )
 from orbitprimes.ffplaces import FFElement
@@ -140,6 +141,23 @@ def test_squarefree_examples():
     assert [r.value for r in records] == [4, 9, 64]
     prime, unresolved, _ = squarefree_primitive_prime(primitive_part(records, 2, ZeroOrbit(sq)))
     assert prime is None and not unresolved
+
+
+def test_a_scan_trial_divides_each_uncached_part_once(monkeypatch):
+    calls = []
+    divide = intplaces.trial_division
+
+    def counted(n):
+        calls.append(n)
+        return divide(n)
+
+    monkeypatch.setattr(intplaces, "trial_division", counted)
+    monkeypatch.setattr(zsigmondy, "trial_division", counted)
+    report = zsigmondy_report(RationalMap.parse("x^2+1"), 1, depth=8, squarefree_depth=8)
+    # levels 1-5 leave a proved-prime leftover; levels 6-8 are settled by
+    # an exponent-1 prime below 10^4, with no factorization
+    assert [r.factored is None for r in report.records] == [False] * 5 + [True] * 3
+    assert calls == [r.primitive_part for r in report.records]
 
 
 def test_squarefree_sees_exponents_past_the_budget():

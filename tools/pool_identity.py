@@ -8,8 +8,10 @@ perfbench/workloads.py (all workloads when none is named), then the EXTRA
 command lines below, with `python -m orbitprimes.cli` from PARENT/src and
 from CHANGE/src.  A cache pair runs twice per side, cold then warm, in a
 fresh cache directory of its own.  The two sides of one command line run at
-the same time.  Every command line whose exit code, stdout or stderr differ
-is printed, then `runs=N differ=M`; the exit code is 1 when M > 0.  A
+the same time.  Every run whose exit code, stdout, stderr or the files left
+in its cache directory (the --cache file of a cache pair, after the cold and
+after the warm run) differ is printed with what differs, then
+`runs=N differ=M`; the exit code is 1 when M > 0.  A
 differing canonical-height or classify line also says whether the two
 (estimate, radius) intervals meet, as perfbench/answers.py compares them.
 """
@@ -29,6 +31,7 @@ import answers  # noqa: E402
 import workloads  # noqa: E402
 
 JOB_TIMEOUT_S = 600
+OUTCOME_FIELDS = ("exit code", "stdout", "stderr", "cache files")
 
 # Orbits no pool candidate has: every orbit over Q in the pools is of x^d + c,
 # whose resultant is 1, from an integer alpha.  These have rational alpha and
@@ -99,8 +102,8 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
 
 
 def run_side(root: Path, job):
-    """(exit code, stdout, stderr) of each run of one candidate, cold then
-    warm for a cache pair."""
+    """(exit code, stdout, stderr, cache files) of each run of one
+    candidate, cold then warm for a cache pair."""
     with tempfile.TemporaryDirectory(prefix="pool-identity-") as cache_dir:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1",
                    ORBITPRIMES_CACHE_DIR=cache_dir)
@@ -110,10 +113,16 @@ def run_side(root: Path, job):
                 proc = subprocess.run([sys.executable, "-m", "orbitprimes.cli", *job.argv],
                                       capture_output=True, env=env, cwd=root,
                                       timeout=JOB_TIMEOUT_S)
-                outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+                outcome = (proc.returncode, proc.stdout, proc.stderr)
             except subprocess.TimeoutExpired:
-                outcomes.append(("timeout", b"", b""))
+                outcome = ("timeout", b"", b"")
+            outcomes.append(outcome + (_cache_files(cache_dir),))
         return outcomes
+
+
+def _cache_files(cache_dir: str) -> list:
+    """(name, bytes) of each file in a cache directory, by name."""
+    return sorted((path.name, path.read_bytes()) for path in Path(cache_dir).iterdir())
 
 
 def _intervals(left: bytes, right: bytes) -> str:
@@ -144,7 +153,8 @@ def main(argv) -> int:
                 if a != b:
                     differ += 1
                     tag = f" ({('cold', 'warm')[half]})" if job.cls == "cache-pair" else ""
-                    print(f"differ{tag}: {job.key}", flush=True)
+                    fields = [name for name, x, y in zip(OUTCOME_FIELDS, a, b) if x != y]
+                    print(f"differ{tag}: {job.key} [{', '.join(fields)}]", flush=True)
                     if job.argv[0] in ("canonical-height", "classify"):
                         print(f"  intervals {_intervals(a[1], b[1])}", flush=True)
     print(f"runs={runs} differ={differ}")
