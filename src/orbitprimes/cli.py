@@ -265,13 +265,14 @@ def _run_canonical_height(args):
 
 def _run_classify(args):
     from . import heights, reports
-    from .maps import RationalMap, point_str
+    from .maps import OrbitWalk, RationalMap, point_str
 
     max_steps = heights.MAX_STEPS if args.max_steps is None else args.max_steps
     rmap = RationalMap.parse(args.map)
     alpha = _parse_point(args.alpha, "q")
-    cls = heights.classify_point(rmap, alpha, max_steps=max_steps)
-    est = heights.canonical_height(rmap, alpha) if cls.kind == "wandering" else None
+    walk = OrbitWalk(rmap, alpha)  # one walk decides the verdict and starts the height
+    cls = heights.classify_point(rmap, walk, max_steps=max_steps)
+    est = heights.canonical_height(rmap, walk) if cls.kind == "wandering" else None
     config = {
         "command": "classify",
         "map": args.map,

@@ -9,8 +9,9 @@ The height-change bound c_phi returned by phi_height_bound is rigorous on all
 of P^1(Q); the construction is documented in that function.
 
 One certificate proves alpha wandering: an orbit value above c_phi / (d-1),
-the bound on every preperiodic height.  classify_point and canonical_height
-walk the exact orbit below it the same way (_walk_below_bound, at most
+the bound on every preperiodic height, decided on integers (_above).
+classify_point and canonical_height walk the exact orbit below it the same
+way, on one OrbitWalk a command hands on (_walk_below_bound, at most
 MAX_STEPS steps): a repeat is preperiodic, with canonical height exactly 0,
 and a value above it is wandering.  Otherwise canonical heights sum local
 parts from the walk's last value (Call-Goldstine, J. Number Theory 63
@@ -63,14 +64,6 @@ def weil_height(z, field: str = "Q") -> HeightValue:
     return HeightValue(value=log_fraction(arg), field="Q", log_arg=arg)
 
 
-def height_float(z) -> float:
-    """Bare float height of an extended rational (hot-path helper)."""
-    if z is INFINITY:
-        return 0.0
-    n, d = abs(z.numerator), z.denominator
-    return log_int(max(n, d))
-
-
 def multi_height(values) -> HeightValue:
     """Height of a tuple of rationals, computed exactly over a common denominator.
 
@@ -108,11 +101,15 @@ def phi_height_bound(rmap: RationalMap) -> float:
     i.e. h(phi(z)) >= d*h(z) - log W.  W (at least 1) is solved once per map
     by `RationalMap.lower_bound_norm`, which `RationalMap.evaluate` also uses
     to refuse a step past the digit cap before multiplying.  The returned
-    constant is max(log max(L1(p), L1(q)), log W); it is an over-estimate by
-    design and equals 0 exactly for monomial maps like x^d.
+    constant is log B for B = max(L1(p), L1(q), W) of _bound_arg; it is an
+    over-estimate by design and equals 0 exactly for monomial maps like x^d.
     """
-    upper_arg = max(sum(abs(c) for c in rmap._p_form), sum(abs(c) for c in rmap._q_form))
-    return max(log_fraction(Fraction(upper_arg)), log_fraction(rmap.lower_bound_norm()), 0.0)
+    return log_fraction(_bound_arg(rmap))
+
+
+def _bound_arg(rmap: RationalMap) -> Fraction:
+    """B = max(L1(p), L1(q), W), at least 1 as W is: c_phi = log B exactly."""
+    return max(Fraction(max(_abs_forms(rmap, 1, 1))), rmap.lower_bound_norm())
 
 
 class CanonicalHeightEstimate(NamedTuple):
@@ -152,45 +149,52 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     """Estimate the canonical height of alpha with error radius <= tol.
 
     The orbit is walked exactly below the wandering bound, as classify_point
-    walks it (_walk_below_bound, at most MAX_STEPS steps).  A repeat there
-    gives an exact 0.  Otherwise the walk's last value beta = phi^n(alpha)
-    (the first above the bound, or the last below it before the digit cap or
-    the step limit) gives hhat(alpha) = hhat(beta) / d^n, summed by local
-    decomposition (_local_estimate), which builds no orbit value past beta.
+    walks it (_walk_below_bound, at most MAX_STEPS steps, on from the values
+    of alpha when it is an OrbitWalk).  A repeat there gives an exact 0.
+    Otherwise the walk's last value beta = phi^n(alpha) (the first above the
+    bound, or the last below it before the digit cap or the step limit) gives
+    hhat(alpha) = hhat(beta) / d^n, summed by local decomposition
+    (_local_estimate), which builds no orbit value past beta.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     c_phi = phi_height_bound(rmap)
-    walk, stop = _walk_below_bound(rmap, alpha, c_phi, MAX_STEPS)
-    n = len(walk.values) - 1
+    walk = alpha if isinstance(alpha, OrbitWalk) else OrbitWalk(rmap, alpha)
+    bound = _bound_arg(rmap)
+    n, stop = _walk_below_bound(rmap, walk, bound, MAX_STEPS)
     if stop == "repeat":
-        return CanonicalHeightEstimate(
-            estimate=0.0,
-            error_radius=0.0,
-            iterations_used=n,
-            c_phi=c_phi,
-            preperiodic=True,
-        )
-    return _local_estimate(rmap, walk.values[-1], n, c_phi, tol)
+        return CanonicalHeightEstimate(0.0, 0.0, iterations_used=n, c_phi=c_phi, preperiodic=True)
+    return _local_estimate(rmap, walk.values[n], n, c_phi, tol)
 
 
-def _walk_below_bound(rmap, alpha, c_phi: float, steps: int):
-    """(walk, stop): the exact orbit of alpha, at most `steps` evaluations,
-    while its heights stay at most c_phi / (d - 1).  As |h - hhat| <= that
-    (Call-Silverman, Compositio Math. 89 (1993)), it bounds every preperiodic
-    height, and a value above it is wandering.  `stop` says what ended the
-    walk at walk.values[-1]: "repeat", "above" (the first value above the
-    bound), "cap" (the digit cap) or "steps" (phi^steps(alpha) below it)."""
-    bound = c_phi / (rmap.degree - 1) + 1e-9  # a margin for the rounding of c_phi
-    walk = OrbitWalk(rmap, alpha)
-    while walk.tail is None:
-        if height_float(walk.values[-1]) > bound:
-            return walk, "above"
-        if len(walk.values) > steps:
-            return walk, "steps"
-        if next(walk, None) is None:
-            return walk, "cap"
-    return walk, "repeat"
+def _walk_below_bound(rmap, walk, bound: Fraction, steps: int):
+    """(n, stop): an OrbitWalk's exact orbit, at most `steps` evaluations,
+    while its heights stay at most log(bound) / (d - 1) = c_phi / (d - 1).
+    As |h - hhat| <= that (Call-Silverman, Compositio Math. 89 (1993)), it
+    bounds every preperiodic height, and a value above it is wandering.
+    `stop` says what ended the walk at walk.values[n], checked in this order:
+    "repeat" (n = tail + period), "above", "steps" or "cap" (the digit cap).
+    The walk is advanced only past the values it holds, and stops where a
+    fresh walk would."""
+    n = 0
+    while walk.tail is None or n < walk.tail + walk.period:
+        if _above(walk.values[n], bound, rmap.degree):
+            return n, "above"
+        if n >= steps:
+            return n, "steps"
+        if n + 1 == len(walk.values) and (walk.cap_error or next(walk, None) is None):
+            return n, "cap"
+        n += 1
+    return n, "repeat"
+
+
+def _above(value, bound: Fraction, d: int) -> bool:
+    """h(value) > log(bound) / (d - 1): H^(d-1) * den > num for the height H
+    of value and bound = num / den, decided on bit lengths where they can."""
+    h, num, den = max(map(abs, point_to_pair(value))), bound.numerator, bound.denominator
+    # 2^low <= H^(d-1) * den < 2^(low+d), and 2^(top-1) <= num < 2^top
+    low, top = (d - 1) * (h.bit_length() - 1) + den.bit_length() - 1, num.bit_length()
+    return low + d >= top and (low >= top or h ** (d - 1) * den > num)
 
 
 def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
@@ -236,13 +240,8 @@ def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
         if Fraction(radius) < exact:
             radius = math.nextafter(radius, math.inf)
         if radius <= tol or bits >= _MAX_BITS or (last is not None and radius > last / 2):
-            return CanonicalHeightEstimate(
-                estimate=estimate,
-                error_radius=radius,
-                iterations_used=n + k,
-                c_phi=c_phi,
-                capped=radius > tol,
-            )
+            return CanonicalHeightEstimate(estimate, radius, iterations_used=n + k, c_phi=c_phi,
+                                           capped=radius > tol)
         bits *= 2
 
 
@@ -382,9 +381,11 @@ def classify_point(rmap: RationalMap, alpha, max_steps: int = MAX_STEPS) -> Poin
     alpha, phi(alpha), ..., phi^max_steps(alpha) lies above the wandering
     bound of _walk_below_bound, so hhat(alpha) > 0.  Inconclusive only when
     the step budget or the digit cap comes first, which is reported, never
-    silent.
+    silent.  An OrbitWalk as alpha is read, not evaluated again, and can be
+    handed on to canonical_height.
     """
-    walk, stop = _walk_below_bound(rmap, alpha, phi_height_bound(rmap), max_steps)
+    walk = alpha if isinstance(alpha, OrbitWalk) else OrbitWalk(rmap, alpha)
+    stop = _walk_below_bound(rmap, walk, _bound_arg(rmap), max_steps)[1]
     if stop == "repeat":
         return PointClassification(kind="preperiodic", tail=walk.tail, period=walk.period)
     if stop == "above":

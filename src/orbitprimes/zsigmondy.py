@@ -164,10 +164,10 @@ def orbit(rmap, alpha, depth: int):
     the cycle (no further arithmetic) and the orbit is flagged preperiodic.
     Hitting 0 on a so-far injective orbit records the unique zero index and
     stops; the size cap stops with whatever was computed.  The orbit is
-    always walked afresh: only factorizations are worth caching, and the
-    cache keys them by the number.
+    walked once, from alpha or on from an OrbitWalk of it, never read from
+    the cache: only factorizations are worth caching, keyed by the number.
     """
-    walk = OrbitWalk(rmap, alpha)
+    walk = alpha if isinstance(alpha, OrbitWalk) else OrbitWalk(rmap, alpha)
     records = []
     for n, value in islice(walk, depth):
         records.append(OrbitRecord(n=n, value=value))
@@ -382,7 +382,8 @@ def zsigmondy_report(
     """
     basis = _EveryEarlier if isinstance(rmap, RationalMapFF) else ZeroOrbit(rmap)
     domain = basis.domain
-    records, termination = orbit(rmap, alpha, depth)
+    walk = OrbitWalk(rmap, alpha)
+    records, termination = orbit(rmap, walk, depth)
     analyzable = [rec for rec in records
                   if rec.value is not INFINITY and rec.value != 0]
     for rec in analyzable:
@@ -414,7 +415,7 @@ def zsigmondy_report(
     if domain is _IntValues:
         from .heights import classify_point
 
-        classification = classify_point(rmap, alpha)
+        classification = classify_point(rmap, walk)
         try:
             ramification = rmap.dynamical_ramification_verdict(RAMIFICATION_NOTE_DEPTH)
         except ResourceCapError:
@@ -490,7 +491,7 @@ def prop_old_diagnostic(
     a root of F hits 0 at level l iff gcd(F, A_l) != 1, and a root has period
     dividing k iff gcd(F, A_k - x*B_k) != 1.
     """
-    from .heights import height_float
+    from .heights import weil_height
 
     F = polys.strip([Fraction(c) for c in factor_poly])
     if polys.degree(F) < 1:
@@ -579,7 +580,7 @@ def prop_old_diagnostic(
             radical *= p
         mass_value = sum(log_int(p) for p in shared_primes)
         mass = LogMass(value=mass_value, exact=exact, radical=radical)
-        h = height_float(value_n)
+        h = weil_height(value_n).value
         margin = mass_value - delta * h
         margins.append(margin)
         rows.append(

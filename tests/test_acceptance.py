@@ -42,11 +42,11 @@ from orbitprimes import (
     roth_scan_q,
     stoll_certificate,
     tower_report,
+    weil_height,
     zsigmondy_report,
 )
 from orbitprimes import reports
 from orbitprimes.galois import critical_orbit
-from orbitprimes.heights import height_float
 from orbitprimes.intplaces import log_int
 from orbitprimes.zsigmondy import ZeroOrbit, orbit, primitive_part, squarefree_primitive_prime
 from oracles import primitive_existence_oracle, squarefree_primitive_oracle
@@ -172,7 +172,7 @@ def test_criterion_04_heights(corpus_maps):
             for _ in range(1000):
                 z = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
                 image = m.evaluate(z)
-                assert abs(height_float(image) - d * height_float(z)) <= c + 1e-9
+                assert abs(weil_height(image).value - d * weil_height(z).value) <= c + 1e-9
         for m in corpus_maps:
             for alpha in (Fraction(1), Fraction(2, 3)):
                 image = m.evaluate(alpha)

@@ -20,9 +20,10 @@ from orbitprimes import (
     weil_height,
 )
 from orbitprimes import heights
+from orbitprimes.cli import main
 from orbitprimes.errors import MapConstructionError
 from orbitprimes.ffplaces import FFElement
-from orbitprimes.heights import height_float
+from orbitprimes.maps import OrbitWalk
 from oracles import canonical_height_exact
 
 
@@ -74,12 +75,12 @@ def test_phi_height_bound_never_violated(corpus_maps):
         for _ in range(300):
             z = random_point(rng)
             image = m.evaluate(z)
-            hz = height_float(z)
-            hi = height_float(image)
+            hz = weil_height(z).value
+            hi = weil_height(image).value
             assert abs(hi - d * hz) <= c + 1e-9
         for z in (Fraction(0), INFINITY):
             image = m.evaluate(z)
-            assert abs(height_float(image) - d * height_float(z)) <= c + 1e-9
+            assert abs(weil_height(image).value - d * weil_height(z).value) <= c + 1e-9
 
 
 def test_canonical_height_examples():
@@ -207,7 +208,8 @@ def test_canonical_height_of_an_orbit_repeating_after_n(expr, alpha, tol):
 
 
 def _walk_stop(rmap, alpha):
-    return heights._walk_below_bound(rmap, alpha, phi_height_bound(rmap), heights.MAX_STEPS)[1]
+    walk = OrbitWalk(rmap, alpha)
+    return heights._walk_below_bound(rmap, walk, heights._bound_arg(rmap), heights.MAX_STEPS)[1]
 
 
 def test_canonical_height_after_a_digit_cap_stop_below_the_bound():
@@ -330,6 +332,49 @@ def test_classify_evaluates_at_most_max_steps(monkeypatch, expr, alpha, first_ab
     cls = classify_point(rmap, alpha, max_steps=max_steps)
     assert len(calls) == min(max_steps, first_above)
     assert cls.kind == ("wandering" if first_above <= max_steps else "inconclusive")
+
+
+def test_a_value_at_the_bound_is_not_above_it():
+    # x^2+1000 has B = L1(p) = W = 1001, so h(1001) is c_phi / (d - 1)
+    # exactly: not above it, while 1002 is
+    rmap = RationalMap.parse("x^2+1000")
+    assert heights._bound_arg(rmap) == 1001
+    cls = classify_point(rmap, 1001, max_steps=0)
+    assert cls == ("inconclusive", None, None, "no certificate within 0 steps")
+    assert classify_point(rmap, 1002, max_steps=0).kind == "wandering"
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(1, 2**100), den=st.integers(1, 2**20), d=st.integers(2, 4),
+       shift=st.integers(-2, 2))
+@example(num=1001, den=1, d=2, shift=0)
+@example(num=2**64, den=1, d=3, shift=0)
+@example(num=2**64 + 1, den=3, d=2, shift=0)
+def test_above_decides_on_bit_lengths_as_on_the_power(num, den, d, shift):
+    # heights near the (d-1)-th root of the bound, where bit lengths alone
+    # cannot decide
+    bound = Fraction(num, den)
+    assume(bound >= 1)
+    h = max(1, round(float(bound) ** (1 / (d - 1))) + shift)
+    for value in (Fraction(h), Fraction(-1, h), Fraction(h - 1, h)):
+        expected = h ** (d - 1) * bound.denominator > bound.numerator
+        assert heights._above(value, bound, d) == expected
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("classify", "--map", "x^2+1000", "--alpha", "0"), 2),  # 0, 1000 and above: 1001000
+    # 8 levels, and the orbit of 0 to level 7 for the strip; the notes read
+    # the scan's walk, whose phi(2) = 7 is above the bound
+    (("zsigmondy", "--map", "x^2+3", "--alpha", "2", "--max-n", "8"), 15),
+])
+def test_a_command_walks_its_orbit_once(monkeypatch, capsys, argv, count):
+    calls = []
+    evaluate = RationalMap.evaluate
+    monkeypatch.setattr(RationalMap, "evaluate",
+                        lambda self, z: calls.append(z) or evaluate(self, z))
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == count
 
 
 def test_canonical_height_reaching_n_above_the_bound():

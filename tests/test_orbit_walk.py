@@ -5,6 +5,7 @@ search, so it shares nothing with maps.OrbitWalk but the map itself.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -13,14 +14,10 @@ from hypothesis import strategies as st
 from orbitprimes import INFINITY, RationalMap
 from orbitprimes.errors import MapConstructionError, ResourceCapError
 from orbitprimes.galois import critical_orbit, stoll_certificate
-from orbitprimes.heights import (
-    canonical_height,
-    classify_point,
-    height_float,
-    phi_height_bound,
-)
+from orbitprimes.heights import canonical_height, classify_point
+from orbitprimes.maps import OrbitWalk
 from orbitprimes.zsigmondy import orbit
-from oracles import canonical_height_exact
+from oracles import canonical_height_exact, lower_bound_norm_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -40,6 +37,15 @@ def naive_walk(rmap, alpha, steps):
         if repeat is not None:
             return values, (n, repeat), False
     return values, None, False
+
+
+def above_the_bound(rmap, value):
+    """h(value) > c_phi / (d - 1) for c_phi = log B, B = max(L1(p), L1(q), W):
+    H^(d-1) > B for the height H = max(|a|, |b|) of value = (a : b)."""
+    bound = max(Fraction(sum(map(abs, rmap._p_form))), Fraction(sum(map(abs, rmap._q_form))),
+                lower_bound_norm_oracle(rmap))
+    a, b = (1, 0) if value is INFINITY else (value.numerator, value.denominator)
+    return max(abs(a), b) ** (rmap.degree - 1) * bound.denominator > bound.numerator
 
 
 def naive_orbit(rmap, alpha, depth):
@@ -150,13 +156,38 @@ def test_classify_matches_naive_loop(case, max_steps):
         n, tail = repeat
         assert (cls.kind, cls.tail, cls.period) == ("preperiodic", tail, n - tail)
         return
-    bound = phi_height_bound(rmap) / (rmap.degree - 1) + 1e-9
-    if any(height_float(v) > bound for v in values):
+    if any(above_the_bound(rmap, v) for v in values):
         assert cls == ("wandering", None, None, "")
         return
     assert cls.kind == "inconclusive"
     assert cls.note == ("size cap reached before a certificate" if capped
                         else f"no certificate within {max_steps} steps")
+
+
+@SETTINGS
+@given(case=map_and_point(), ahead=st.integers(0, 12), max_steps=st.integers(0, 12))
+@example(case=PREPERIODIC_AT_ZERO, ahead=7, max_steps=5)
+@example(case=CAPPED, ahead=12, max_steps=12)
+@example(case=CAPPED_BELOW_THE_BOUND, ahead=3, max_steps=12)
+@example(case=HITS_ZERO, ahead=1, max_steps=0)
+def test_classify_reads_an_advanced_walk_as_a_fresh_point(case, ahead, max_steps):
+    # the walk's values are read, not evaluated again: evaluations past the
+    # ones a fresh classification makes are only those made ahead
+    rmap, alpha = case
+    calls = []
+    evaluate = RationalMap.evaluate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RationalMap, "evaluate",
+                      lambda self, z: calls.append(z) or evaluate(self, z))
+        fresh = classify_point(rmap, alpha, max_steps=max_steps)
+        fresh_calls = len(calls)
+        calls.clear()
+        walk = OrbitWalk(rmap, alpha)
+        list(islice(walk, ahead))
+        ahead_calls = len(calls)
+        assert classify_point(rmap, walk, max_steps=max_steps) == fresh
+    assert len(calls) == max(ahead_calls, fresh_calls)
+    assert canonical_height(rmap, walk, tol=1e-3) == canonical_height(rmap, alpha, tol=1e-3)
 
 
 @SETTINGS

@@ -41,8 +41,11 @@ OUTCOME_FIELDS = ("exit code", "stdout", "stderr", "cache files")
 # reaches in seconds, plus walks below c_phi / (d - 1) that go on past the N
 # a tolerance needs: with c_phi = 0 (N = 0) to a value above the bound or to
 # a repeat, and at --tol 10 to a repeat or above.  The classify lines print
-# the canonical height of wandering points, or none at --max-steps 0.  The
-# last lines run commands and formats no pool does: heights of points over Q
+# the canonical height of wandering points, or none at --max-steps 0, among
+# them alpha = 1001 under x^2+1000, whose height equals the bound and is not
+# above it.  Two zsigmondy scans of one level leave their notes to walk on:
+# past the scan depth to a value above the bound, and on from a hit on 0 to
+# a repeat.  The last lines run commands and formats no pool does: heights of points over Q
 # and Q(t) (and infinity over Q(t)), an orbit over Q(t) through a pole of t,
 # the bad primes of a resultant, and the csv and table renderers.  The final
 # three reach what the pools do not: every pool F is a monic integer cubic and
@@ -85,6 +88,10 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "classify --map x^2-2 --alpha 1/3",
     "classify --map (x^2+3)/(2*x) --alpha=-5/3",
     "classify --map x^2+1 --alpha 1 --max-steps 0",
+    "classify --map x^2+1000 --alpha 1001 --max-steps 0",
+    "classify --map x^2+1000 --alpha 0",
+    "zsigmondy --map x^2+1000 --alpha 0 --max-n 1",
+    "zsigmondy --map x^2-1 --alpha 1 --max-n 1",
     "height --point 3/4",
     "height --point (t^2+1)/t^3 --field qt",
     "height --point inf --field qt",
