@@ -115,7 +115,7 @@ def _bound_arg(rmap: RationalMap) -> Fraction:
 class CanonicalHeightEstimate(NamedTuple):
     """An interval estimate +- error_radius of the canonical height after
     N = iterations_used terms, the tail of the rest bounded by
-    c_phi / (d^N * (1 - 1/d)).  `capped` flags a radius left above tol by the
+    c_phi / (d^N * (1 - 1/d)), c_phi rounded up.  `capped` flags a radius left above tol by the
     precision cap or the float resolution of the estimate; `preperiodic`
     flags the exact 0 of a repeated orbit value."""
 
@@ -125,15 +125,6 @@ class CanonicalHeightEstimate(NamedTuple):
     c_phi: float
     capped: bool = False
     preperiodic: bool = False
-
-
-def _tail_radius(c_phi: float, d: int, n: int) -> float:
-    if c_phi == 0.0:
-        return 0.0
-    try:
-        return c_phi / (d**n * (1.0 - 1.0 / d))
-    except OverflowError:  # d^n past the float range: divide exactly
-        return float(Fraction(c_phi) / (d**n - d ** (n - 1)))
 
 
 # The most evaluations of the exact walk below the wandering bound.
@@ -164,7 +155,8 @@ def canonical_height(rmap: RationalMap, alpha, tol: float = 1e-6) -> CanonicalHe
     n, stop = _walk_below_bound(rmap, walk, bound, MAX_STEPS)
     if stop == "repeat":
         return CanonicalHeightEstimate(0.0, 0.0, iterations_used=n, c_phi=c_phi, preperiodic=True)
-    return _local_estimate(rmap, walk.values[n], n, c_phi, tol)
+    c_up = Fraction(_log_bounds(bound.numerator, bound.denominator)[1]) if bound > 1 else 0
+    return _local_estimate(rmap, walk.values[n], n, c_phi, c_up, tol)
 
 
 def _walk_below_bound(rmap, walk, bound: Fraction, steps: int):
@@ -197,7 +189,7 @@ def _above(value, bound: Fraction, d: int) -> bool:
     return low + d >= top and (low >= top or h ** (d - 1) * den > num)
 
 
-def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
+def _local_estimate(rmap, beta, n: int, c_phi: float, c_up: Fraction, tol: float):
     """hhat(alpha) = hhat(beta) / d^n for beta = phi^n(alpha) = (a : b) with
     coprime integers, from the first terms of
 
@@ -209,13 +201,15 @@ def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
     resultant R, the part at the primes of R.  t_k lies in
     [log(|R| / W), log L1] and log g_k in [0, log |R|], so each term lies in
     [-c_phi, c_phi] (phi_height_bound) and the terms after the first N - n
-    change hhat(alpha) by at most _tail_radius(c_phi, d, N).  N is the least
-    count whose tail is at most tol / 2, which leaves the other half of tol
-    to the width of the interval summed.
+    change hhat(alpha) by at most the tail c_up * d / (d^N * (d - 1)), exact
+    for c_up >= c_phi.  N is the least count whose tail, as a float, is at
+    most tol / 2, which leaves the other half of tol to the width of the
+    interval summed; a tail below the float range reads as 0.
     """
     d = rmap.degree
+    tail_unit = c_up * d / (d - 1)  # the tail after N terms is tail_unit / d^N
     target_n = n
-    while _tail_radius(c_phi, d, target_n) > tol / 2:
+    while float(tail_unit / d**target_n) > tol / 2:
         target_n += 1
     a, b = point_to_pair(beta)
     contents = [tuple(map(_units, _log_bounds(g, 1)))
@@ -234,8 +228,7 @@ def _local_estimate(rmap, beta, n: int, c_phi: float, tol: float):
         hi = (Fraction(start[1]) + hi * unit) / d**n
         mid = (lo + hi) / 2
         estimate = float(mid)
-        tail = Fraction(_tail_radius(c_phi, d, n + k))
-        exact = (hi - lo) / 2 + abs(Fraction(estimate) - mid) + tail
+        exact = (hi - lo) / 2 + abs(Fraction(estimate) - mid) + tail_unit / d ** (n + k)
         last, radius = radius, float(exact)
         if Fraction(radius) < exact:
             radius = math.nextafter(radius, math.inf)

@@ -1,9 +1,11 @@
 """Heights: Weil, multi, the height-change bound, canonical heights,
 wandering/preperiodic classification."""
 
+import decimal
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,31 @@ def test_canonical_height_error_radius_formula():
     expected = c / (m.degree**n * (1 - 1 / m.degree))
     assert expected <= 0.5e-4 < 2 * expected
     assert expected <= est.error_radius <= expected + 1e-15
+
+
+@pytest.mark.parametrize("num, den, alpha", [
+    ([1, 0, 1], [1], 1),  # B = 2
+    ([-2, 0, 1], [1], Fraction(1, 3)),
+    ([1, 0, 3], [-2, 0, 1], 1),  # (3x^2+1)/(x^2-2): B from W, not an integer
+    ([Fraction(-3, 4), 0, 2], [1], Fraction(3, 2)),
+    ([1000, 0, 1], [1], 0),
+    ([10**400, 0, 1], [1], 0),  # ln B past the float range
+])
+def test_the_tail_radius_rounds_log_b_up(num, den, alpha):
+    # against ln B to 50 digits: c_phi rounded up, and a radius holding the
+    # tail ln(B) * d / (d^N * (d - 1)) after N = iterations_used terms
+    rmap = RationalMap(num, den)
+    bound, d = heights._bound_arg(rmap), rmap.degree
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ln_b = Decimal(bound.numerator).ln() - Decimal(bound.denominator).ln()
+        c_up = Decimal(heights._log_bounds(bound.numerator, bound.denominator)[1])
+        assert ln_b <= c_up <= ln_b * (1 + Decimal("1e-11"))
+        assert abs(Decimal(phi_height_bound(rmap)) - ln_b) <= ln_b * Decimal("1e-15")
+        for tol in (1e-3, 1e-9):
+            est = canonical_height(rmap, alpha, tol=tol)
+            tail = ln_b * d / (Decimal(d) ** est.iterations_used * (d - 1))
+            assert tail <= Decimal(est.error_radius)
 
 
 def test_canonical_height_functional_equation(corpus_maps):

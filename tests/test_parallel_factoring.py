@@ -7,6 +7,7 @@ worker may outlive the call that forked it.
 """
 
 import os
+import re
 import signal
 import time
 
@@ -146,12 +147,12 @@ def test_a_task_failing_in_a_worker_raises_and_leaves_no_worker(monkeypatch, cap
     def task(x):
         if intplaces._in_worker:
             raise ValueError(f"no task {x}")
-        time.sleep(1)  # the caller holds the largest task, so the worker takes the other
+        time.sleep(1)  # so the worker takes a task, whichever it is
         return x
 
     with pytest.raises(InvariantError, match=r"exit codes \[1\]"):
         intplaces._parallel_map(task, [1, 2])
-    assert "ValueError: no task 1" in capfd.readouterr().err
+    assert re.search(r"ValueError: no task [12]", capfd.readouterr().err)
     assert_no_child_left()
 
 
@@ -163,7 +164,7 @@ def test_a_task_failing_in_the_caller_raises_as_in_sequence(monkeypatch):
             raise ValueError(f"no task {x}")
         time.sleep(60)
 
-    with pytest.raises(ValueError, match="no task 2"):
+    with pytest.raises(ValueError, match=r"^no task [12]$"):  # whichever task it took
         intplaces._parallel_map(task, [1, 2])
     assert_no_child_left()
 
@@ -185,10 +186,11 @@ def test_workers_do_not_fork_again(monkeypatch):
         if intplaces._in_worker:
             os.fork = None  # in this worker only: a nested fork would raise
         else:
-            time.sleep(1)  # the caller holds the largest task, so the worker takes the other
-        return intplaces._in_worker, intplaces._parallel_map(abs, [x, -x])
+            time.sleep(1)  # so the worker takes a task, whichever it is
+        return intplaces._parallel_map(abs, [x, -x])
 
-    assert intplaces._parallel_map(task, [1, 2]) == [(True, [1, 1]), (False, [2, 2])]
+    assert intplaces._parallel_map(task, [1, 2]) == [[1, 1], [2, 2]]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("argv", [
