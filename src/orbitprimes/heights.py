@@ -115,9 +115,9 @@ def _bound_arg(rmap: RationalMap) -> Fraction:
 class CanonicalHeightEstimate(NamedTuple):
     """An interval estimate +- error_radius of the canonical height after
     N = iterations_used terms, the tail of the rest bounded by
-    c_phi / (d^N * (1 - 1/d)), c_phi rounded up.  `capped` flags a radius left above tol by the
-    precision cap or the float resolution of the estimate; `preperiodic`
-    flags the exact 0 of a repeated orbit value."""
+    c_phi / (d^N * (1 - 1/d)) with c_phi rounded up.  `capped` flags a
+    radius left above tol by the precision cap or the float resolution of
+    the estimate; `preperiodic` flags the exact 0 of a repeated orbit value."""
 
     estimate: float
     error_radius: float
