@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import polys
-from .heights import HeightValue, multi_height
 from .intplaces import DEFAULT_BUDGET, LogMass, factor, log_int, radical_logmass
+
+if TYPE_CHECKING:
+    from .heights import HeightValue
 
 
 class AbcTriple(NamedTuple):
@@ -40,6 +42,8 @@ def abc_quality(a, b, budget: int = DEFAULT_BUDGET) -> AbcTriple:
     all equal; on the coprime integer model (A, B, C) those are exactly the
     primes dividing A*B*C.
     """
+    from .heights import multi_height  # here, so that the Roth scans load no orbit code
+
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
@@ -206,12 +210,14 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
     """Function-field radical scan: z runs over polynomials in t of bounded
     degree and coefficient size (a documented deterministic family).
 
-    radsum is the degree of the squarefree part of the numerator of F(z): the
-    sum of deg(pi) over the distinct monic irreducibles dividing it, obtained
-    without any factorization.  Unlike the Q scan this inequality is a
+    radsum is the degree of the squarefree part of the numerator p of F(z):
+    the sum of deg(pi) over the distinct monic irreducibles dividing it,
+    read as deg p - deg gcd(p, p') without any factorization.  F(z) is
+    sum n_k z^k / L over F's integral coefficients, evaluated by Horner's
+    rule in Z[t] and reduced once.  Unlike the Q scan this inequality is a
     theorem, so margins here are structural data, not conjecture probes.
     """
-    from .ffplaces import FFElement
+    from .ffplaces import FFElement, form_value, integral_coefficients
 
     if max_degree < 0 or coeff_bound < 0:
         raise ValueError("max degree and coefficient bound must be >= 0")
@@ -219,19 +225,17 @@ def roth_scan_ff(F_coeffs, epsilon: float, max_degree: int = 2,
         [c if isinstance(c, FFElement) else FFElement.from_const(c) for c in F_coeffs], epsilon
     )
     coeff = polys.degree(F) - 2 - epsilon
+    forms, denominator = integral_coefficients(F)
     samples = []
     skipped = []
     for z_coeffs in _ff_poly_samples(max_degree, coeff_bound):
-        z = FFElement(z_coeffs)
-        value = polys.evaluate(F, z)
+        z = polys.strip(z_coeffs)
+        value = FFElement(form_value(forms, z, [1]), denominator)
         if value.is_zero:
             skipped.append(tuple(z_coeffs))
             continue
-        num = list(value.num)
-        radsum = 0
-        if polys.degree(num) >= 1:
-            radsum = polys.degree(polys.squarefree_part(num))
-        h = max(polys.degree(list(z.num)), 0)
+        radsum = polys.radical_degree(value.int_num)
+        h = max(polys.degree(z), 0)
         margin = radsum - coeff * h
         samples.append(RothSample(z=tuple(z_coeffs), radsum=float(radsum),
                                   height=float(h), margin=margin, exact=True))

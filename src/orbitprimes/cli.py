@@ -176,7 +176,7 @@ def _build_map(args):
 
 def _run_orbit(args):
     from . import reports, zsigmondy
-    from .maps import point_str
+    from .intplaces import point_str
 
     max_n = zsigmondy.DEFAULT_PRIMITIVE_DEPTH if args.max_n is None else args.max_n
     rmap = _build_map(args)
@@ -238,7 +238,7 @@ def _run_zsigmondy(args):
 def _run_height(args):
     from . import reports
     from .heights import weil_height
-    from .maps import point_str
+    from .intplaces import point_str
 
     config = {"command": "height", "point": args.point, "field": args.field}
     point = _parse_point(args.point, args.field)
@@ -249,7 +249,8 @@ def _run_height(args):
 def _run_canonical_height(args):
     from . import reports
     from .heights import canonical_height
-    from .maps import RationalMap, point_str
+    from .intplaces import point_str
+    from .maps import RationalMap
 
     rmap = RationalMap.parse(args.map)
     alpha = _parse_point(args.alpha, "q")
@@ -265,7 +266,8 @@ def _run_canonical_height(args):
 
 def _run_classify(args):
     from . import heights, reports
-    from .maps import OrbitWalk, RationalMap, point_str
+    from .intplaces import point_str
+    from .maps import OrbitWalk, RationalMap
 
     max_steps = heights.MAX_STEPS if args.max_steps is None else args.max_steps
     rmap = RationalMap.parse(args.map)

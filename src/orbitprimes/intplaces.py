@@ -217,7 +217,9 @@ def finish_factoring(trials, budget: int) -> list:
     function of its leftover and budget, so the list is the same for any
     worker count."""
     big = [rest for _, _, rest in trials if rest >= _PROVED_BELOW]
-    rhos = dict(zip(big, _parallel_map(lambda n: tuple(rho_factor(n, budget)), big)))
+    rhos = {}
+    if big:  # most batches, such as every small `factor` call, have no rho stage
+        rhos = dict(zip(big, _parallel_map(lambda n: tuple(rho_factor(n, budget)), big)))
     factored = []
     for sign, small, rest in trials:
         proved = ((rest, 1),) if 1 < rest < _PROVED_BELOW else ()
@@ -434,10 +436,18 @@ def to_decimal(n: int) -> str:
 
 def rational_to_decimal(z) -> str:
     """A rational as "p", or "p/q" with q > 0, through to_decimal."""
+    if isinstance(z, int):
+        return to_decimal(z)
     z = Fraction(z)
     if z.denominator == 1:
         return to_decimal(z.numerator)
     return f"{to_decimal(z.numerator)}/{to_decimal(z.denominator)}"
+
+
+def point_str(z) -> str:
+    """A point of P^1 as text: "p" or "p/q" for a rational, else str(z),
+    which is "inf" or an element of Q(t)."""
+    return rational_to_decimal(z) if isinstance(z, (int, Fraction)) else str(z)
 
 
 def from_decimal(text: str) -> int:

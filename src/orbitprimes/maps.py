@@ -21,7 +21,6 @@ from .intplaces import (
     DEFAULT_DIGIT_CAP,
     _cap_bits,
     factor,
-    rational_to_decimal,
 )
 
 ITERATE_DEGREE_CAP = 4096
@@ -70,18 +69,6 @@ def as_point(z):
     if isinstance(z, FFElement):
         return z
     raise TypeError(f"cannot interpret {z!r} as a point of P^1")
-
-
-def point_str(z) -> str:
-    """Inverse of as_point: "inf", a Q(t) element, or "p" / "p/q"."""
-    if z is INFINITY:
-        return "inf"
-    if not isinstance(z, (Fraction, int)):
-        from .ffplaces import FFElement
-
-        if isinstance(z, FFElement):
-            return str(z)
-    return rational_to_decimal(z)
 
 
 def point_to_pair(z):
@@ -648,6 +635,9 @@ class RationalMapFF:
 
     Only the functionality the orbit machinery needs: validated construction,
     exact evaluation on Q(t) plus infinity, and the power-map predicate.
+    A finite point u / v is evaluated on the integral forms P, Q in Z[t][x]
+    (the coefficients over their common denominator, both padded to the
+    degree): phi(u / v) = P(u, v) / Q(u, v), reduced once.
     """
 
     def __init__(self, numer_coeffs, denom_coeffs):
@@ -663,9 +653,15 @@ class RationalMapFF:
         common = polys.gcd(num, den)
         if polys.degree(common) > 0:
             raise MapConstructionError("numerator and denominator share a root over Q(t)")
+        from .ffplaces import integral_coefficients
+
         self.numer_coeffs = tuple(_as_ff(c) for c in num)
         self.denom_coeffs = tuple(_as_ff(c) for c in den)
         self.degree = d
+        forms, _ = integral_coefficients(self.numer_coeffs + self.denom_coeffs)
+        split = len(num)
+        self._p_form = forms[:split] + [[]] * (d + 1 - split)
+        self._q_form = forms[split:] + [[]] * (d + 1 - len(den))
 
     @classmethod
     def parse(cls, text: str) -> "RationalMapFF":
@@ -695,14 +691,16 @@ class RationalMapFF:
             if dd > dn:
                 return _as_ff(0)
             return self.numer_coeffs[-1] / self.denom_coeffs[-1]
+        from .ffplaces import FFElement, form_value
+
         z = _as_ff(z)
-        pv = polys.evaluate(list(self.numer_coeffs), z)
-        qv = polys.evaluate(list(self.denom_coeffs), z)
-        if qv.is_zero:
-            if pv.is_zero:
+        pv = form_value(self._p_form, z.int_num, z.int_den)
+        qv = form_value(self._q_form, z.int_num, z.int_den)
+        if not qv:
+            if not pv:
                 raise InvariantError("(0:0) reached over Q(t)")
             return INFINITY
-        return pv / qv
+        return FFElement(pv, qv)
 
     def is_power_map(self) -> bool:
         return _is_power_map(self)

@@ -5,12 +5,16 @@ trailing zeros ([] is the zero polynomial).  All routines are generic over
 the coefficient field: they only use +, -, *, /, == and bool(), so they work
 for fractions.Fraction and for rational-function coefficients alike.
 
-Two routines take a faster road when every coefficient is an int or a
-Fraction.  `mul` multiplies the integer lifts (one common denominator per
-operand) and builds one Fraction per output coefficient.  `gcd` is the
-heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): it
-reads the gcd of two integer values off their xi-adic digits and confirms it
-by exact division in Z[x].
+Rational coefficients take a faster road through Z[x].  `mul` multiplies
+the integer lifts (one common denominator per operand) and builds one
+Fraction per output coefficient.  `gcd` and `squarefree_decomposition` run
+on the content-1 lifts and make their results monic at the end.  The
+integer kernels they use, which Q(t) arithmetic (`ffplaces`) calls directly,
+are `int_mul`, `int_poly_gcd`, `int_exact_div` and
+`int_squarefree_decomposition`.  The gcd is the heuristic gcd of Char,
+Geddes and Gonnet (J. Symbolic Comput. 7, 1989): it reads the gcd of two
+integer values off their xi-adic digits and confirms it by exact division
+in Z[x].
 
 Everything here is exact; nothing ever touches floating point.
 """
@@ -88,15 +92,11 @@ def _rational_mul(p, q):
     """mul for int and Fraction coefficients, on the integer lifts: an int
     convolution, then one Fraction per coefficient (ints stay ints)."""
     (a, da), (b, db) = _lift(p), _lift(q)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
+    out = strip(int_mul(a, b))
     if all(type(c) is int for c in p + q):
-        return strip(out)
+        return out
     d = da * db
-    return strip([Fraction(c, d) for c in out])
+    return [Fraction(c, d) for c in out]
 
 
 def _lift(p):
@@ -157,7 +157,7 @@ def monic(p):
 
 
 def gcd(p, q):
-    """Monic gcd.  Rational coefficients go through `_heuristic_gcd` on the
+    """Monic gcd.  Rational coefficients go through `int_poly_gcd` on the
     content-1 integer lifts (naive fraction Euclid blows up exponentially in
     coefficient size); other coefficient fields use the plain Euclidean
     algorithm."""
@@ -167,7 +167,7 @@ def gcd(p, q):
     if is_zero(b):
         return monic(a)
     if _rational_coeffs(a) and _rational_coeffs(b):
-        return _heuristic_gcd(a, b)
+        return _monic_rational(int_poly_gcd(to_integer(a), to_integer(b)))
     while not is_zero(b):
         a, b = b, mod(a, b)
     return monic(a)
@@ -177,54 +177,9 @@ def _rational_coeffs(p):
     return all(isinstance(c, (int, Fraction)) for c in p)
 
 
-def _heuristic_gcd(p, q):
-    """GCDHEU for nonzero rational p, q: the monic gcd, as Fractions.  With
-    a, b the content-1 integer lifts and xi >= 2 min(|a|, |b|) + 2, the
-    primitive part of the symmetric xi-adic digits of gcd(a(xi), b(xi)) is
-    the gcd whenever it divides both a and b; else xi grows.  The only
-    spurious factor, gcd(a'(xi), b'(xi)) of the cofactors, divides the
-    nonzero Res(a', b'), so some xi succeeds."""
-    if degree(p) == 0 or degree(q) == 0:
-        return [Fraction(1)]
-    a, b = to_integer(p), to_integer(q)
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    while True:
-        h = int_gcd(evaluate(a, xi), evaluate(b, xi))
-        g = _symmetric_digits(h, xi)
-        c = content(g)
-        g = [v // c for v in g]
-        if _int_divides(g, a) and _int_divides(g, b):
-            return monic([Fraction(v) for v in g])
-        xi = xi * 73794 // 27011
-
-
-def _symmetric_digits(h, xi):
-    """The integer polynomial g with g(xi) = h and every |coefficient| <=
-    xi / 2; h > 0."""
-    g = []
-    while h:
-        h, r = divmod(h, xi)
-        if 2 * r > xi:
-            r -= xi
-            h += 1
-        g.append(r)
-    return g
-
-
-def _int_divides(g, a):
-    """Whether the integer polynomial g divides a in Z[x]: long division
-    that stops at the first quotient coefficient that is not an integer."""
-    dg = degree(g)
-    rem = list(a)
-    lc = g[-1]
-    for k in range(degree(a) - dg, -1, -1):
-        c, r = divmod(rem[k + dg], lc)
-        if r:
-            return False
-        if c:
-            for i in range(dg):
-                rem[k + i] -= c * g[i]
-    return not any(rem[:dg])
+def _monic_rational(g):
+    """The integer polynomial g divided by its leading coefficient, as Fractions."""
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def derivative(p):
@@ -242,28 +197,12 @@ def squarefree_part(p):
 
 
 def squarefree_decomposition(p):
-    """Yun's algorithm: return {i: A_i} with p ~ prod A_i^i, each A_i monic squarefree.
-
-    Only multiplicities with deg A_i > 0 are reported.  Characteristic-0 only.
-    """
+    """Yun's algorithm over Q: {i: A_i} with p ~ prod A_i^i, each A_i monic
+    square-free, from `int_squarefree_decomposition` of the integer lift."""
     if is_zero(p):
         raise ValueError("squarefree decomposition of the zero polynomial")
-    p = monic(p)
-    if degree(p) == 0:
-        return {}
-    parts = {}
-    g = gcd(p, derivative(p))
-    w = exact_div(p, g)
-    i = 1
-    while degree(w) > 0:
-        y = gcd(w, g)
-        z = exact_div(w, y)
-        if degree(z) > 0:
-            parts[i] = monic(z)
-        g = exact_div(g, y)
-        w = y
-        i += 1
-    return parts
+    parts = int_squarefree_decomposition(to_integer(p))
+    return {i: _monic_rational(a) for i, a in parts.items()}
 
 
 def resultant(p, q):
@@ -320,11 +259,135 @@ def to_integer(p):
     return [a // c for a in ints]
 
 
-def int_poly_gcd(p, q):
-    """Gcd in Z[x]: primitive gcd with positive leading coefficient."""
-    if is_zero(p) and is_zero(q):
+def primitive(p):
+    """The integer polynomial p divided by its content, leading coefficient
+    positive ([] for the zero polynomial)."""
+    if not p:
         return []
-    return to_integer(gcd(p, q))  # a monic gcd lifts with a positive lead
+    c = int_gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return list(p) if c == 1 else [a // c for a in p]
+
+
+def int_mul(p, q):
+    """Product in Z[x]: the convolution of two int coefficient lists."""
+    if not p or not q:
+        return []
+    if len(p) == 1 or len(q) == 1:
+        (c,), r = (p, q) if len(p) == 1 else (q, p)
+        return list(r) if c == 1 else [c * a for a in r]
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        if u:
+            for j, v in enumerate(q, i):
+                out[j] += u * v
+    return out
+
+
+def int_poly_gcd(p, q):
+    """Gcd in Z[x] of two integer polynomials: primitive, with positive
+    leading coefficient ([] when both are zero).
+
+    GCDHEU: with a, b the primitive parts and xi >= 2 min(|a|, |b|) + 2, the
+    primitive part of the symmetric xi-adic digits of gcd(a(xi), b(xi)) is
+    the gcd whenever it divides both a and b; else xi grows.  The only
+    spurious factor, gcd(a'(xi), b'(xi)) of the cofactors, divides the
+    nonzero Res(a', b'), so some xi succeeds."""
+    a, b = primitive(strip(p)), primitive(strip(q))
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        g = primitive(_symmetric_digits(int_gcd(_int_evaluate(a, xi), _int_evaluate(b, xi)), xi))
+        if int_quotient(a, g) is not None and int_quotient(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011
+
+
+def _int_evaluate(a, x):
+    """a(x) for an integer polynomial and an integer x > 1, by Estrin's
+    scheme: adjacent coefficients pair up as c0 + c1 x, then the pairs as
+    d0 + d1 x^2, and so on, so the large multiplies are balanced and run at
+    Karatsuba speed where Horner's would be quadratic in the degree."""
+    values = list(a)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        values = [values[i] + values[i + 1] * x for i in range(0, len(values), 2)]
+        x *= x
+    return values[0] if values else 0
+
+
+def _symmetric_digits(h, xi):
+    """The integer polynomial g with g(xi) = h and every |coefficient| <=
+    xi / 2; h > 0."""
+    g = []
+    while h:
+        h, r = divmod(h, xi)
+        if 2 * r > xi:
+            r -= xi
+            h += 1
+        g.append(r)
+    return g
+
+
+def int_quotient(a, g):
+    """a / g in Z[x] when g divides a there, else None: long division that
+    stops at the first quotient coefficient that is not an integer, or at a
+    nonzero remainder."""
+    dg = len(g) - 1
+    rem = list(a)
+    lc = g[-1]
+    quo = [0] * max(0, len(a) - dg)
+    for k in range(len(a) - 1 - dg, -1, -1):
+        c, r = divmod(rem[k + dg], lc)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
+    return None if any(rem[:dg]) else quo
+
+
+def int_exact_div(a, g):
+    """a / g for integer polynomials where g divides a in Z[x]."""
+    quo = int_quotient(a, g)
+    if quo is None:
+        raise ValueError("int_exact_div: division left a remainder")
+    return quo
+
+
+def int_squarefree_decomposition(p):
+    """Yun's algorithm in Z[x]: {i: A_i} with p ~ prod A_i^i, each A_i
+    primitive and square-free with positive leading coefficient, for a
+    nonzero integer polynomial p.  Only multiplicities with deg A_i > 0 are
+    reported.  Characteristic 0 only."""
+    p = primitive(strip(p))
+    if len(p) < 2:
+        return {}
+    parts = {}
+    g = int_poly_gcd(p, derivative(p))
+    w = int_exact_div(p, g)
+    i = 1
+    while len(w) > 1:
+        y = int_poly_gcd(w, g)
+        z = int_exact_div(w, y)
+        if len(z) > 1:
+            parts[i] = z
+        g = int_exact_div(g, y)
+        w = y
+        i += 1
+    return parts
+
+
+def radical_degree(p):
+    """deg p - deg gcd(p, p'), the degree of the product of the distinct
+    irreducible factors of a nonzero integer polynomial p."""
+    return degree(p) - degree(int_poly_gcd(p, derivative(p)))
 
 
 def bareiss_determinant(matrix):
@@ -400,14 +463,15 @@ def solve_exact(matrix, rhs):
 # ---------------------------------------------------------------------------
 
 def to_string(p, var="x"):
-    """Canonical descending-degree rendering, round-trippable by the parser."""
+    """Canonical descending-degree rendering of int and Fraction
+    coefficients, round-trippable by the parser."""
     p = strip(p)
     if is_zero(p):
         return "0"
     terms = []
     for k in range(degree(p), -1, -1):
-        c = Fraction(p[k])
-        if c == 0:
+        c = p[k]
+        if not c:
             continue
         sign = "-" if c < 0 else "+"
         mag = abs(c)

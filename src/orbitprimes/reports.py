@@ -15,8 +15,7 @@ from importlib import resources
 
 from . import polys
 from .errors import InvariantError
-from .intplaces import _DECIMAL_PIECE_BITS, EXACT, exact_decimal, to_decimal
-from .maps import INFINITY, RationalMap, _form_content, point_str
+from .intplaces import _DECIMAL_PIECE_BITS, EXACT, exact_decimal, point_str, to_decimal
 
 SCHEMA_VERSION = 1
 
@@ -70,9 +69,17 @@ def big(n: int) -> str:
 
 
 def value_str(v) -> str:
-    """A point (maps.point_str) or a polynomial in t given as a tuple."""
+    """A point (intplaces.point_str) or a polynomial in t given as a tuple."""
     if isinstance(v, tuple):
         return polys.to_string(list(v), var="t")
+    return point_str(v)
+
+
+def _part_str(v) -> str:
+    """A primitive part or square-free witness: an integer, or a primitive
+    polynomial in t, rendered monic."""
+    if isinstance(v, tuple):
+        return polys.to_string(v if v[-1] == 1 else polys.monic(v), var="t")
     return point_str(v)
 
 
@@ -92,9 +99,11 @@ def _orbit_strings(rmap, records):
     |A_n| divided by the small quotient |A_n| // part.  Only the first level
     and a level after infinity convert a big value from scratch, and every
     big string must end in the last 18 digits of its integer."""
+    from .maps import INFINITY, RationalMap
+
     if not isinstance(rmap, RationalMap):
         return [(value_str(rec.value),
-                 None if rec.primitive_part is None else value_str(rec.primitive_part))
+                 None if rec.primitive_part is None else _part_str(rec.primitive_part))
                 for rec in records]
     strings = []
     last = None  # (a, b, Decimals of |a| and b or None) of a finite previous level
@@ -135,6 +144,14 @@ def _step(rmap, a: int, b: int, decimals):
     pv, qv = rmap._eval_forms(da.copy_negate() if a < 0 else da, db)
     g = _form_content(rmap, a, b)
     return _exact_quotient(pv.copy_abs(), g), _exact_quotient(qv.copy_abs(), g)
+
+
+def _form_content(rmap, a: int, b: int) -> int:
+    """maps._form_content, imported on the first call: a command that
+    renders no orbit over Q loads no orbit code."""
+    from .maps import _form_content as content
+
+    return content(rmap, a, b)
 
 
 def _part_string(part: int, whole: int, whole_decimal, whole_digits: str) -> str:
@@ -235,7 +252,7 @@ def build_zsigmondy(rmap, report, config) -> dict:
         if part_text is not None:
             row["primitive_part"] = part_text
         if rec.squarefree_witness is not None:
-            row["squarefree_witness"] = value_str(rec.squarefree_witness)
+            row["squarefree_witness"] = _part_str(rec.squarefree_witness)
         records.append(row)
     notes = report.notes
     notes_dict = None

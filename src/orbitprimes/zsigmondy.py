@@ -24,9 +24,13 @@ a power of Res and so adds only primes that the second gcd covers anyway.
 
 The same generic code path drives K = Q (integer numerators) and K = Q(t)
 (polynomial numerators): both are gcd domains with units, nothing else is
-assumed.  Over Q(t) each level is still stripped against every earlier
-numerator in full.  The square-free verdict there is factorization-free as
-well, via the multiplicity-1 component of a square-free decomposition.
+assumed.  Over Q(t) a numerator is a primitive polynomial in Z[t] with a
+positive leading coefficient, the units are the constants, and gcd and
+exact division are the Z[t] kernels of `polys` (the heuristic gcd and
+integer long division); reports render a numerator monic.  Each level is
+still stripped against every earlier numerator in full.  The square-free
+verdict there is factorization-free as well, via the multiplicity-1
+component of Yun's decomposition in Z[t].
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from . import polys
 from .errors import ResourceCapError
 from .intplaces import (DEFAULT_BUDGET, FactoredValue, LogMass, factor, finish_factoring,
-                        log_int, trial_division)
+                        log_int, point_str, trial_division)
 from .maps import (
     INFINITY,
     OrbitWalk,
@@ -48,7 +52,6 @@ from .maps import (
     RationalMapFF,
     _as_ff,
     as_point,
-    point_str,
 )
 
 if TYPE_CHECKING:
@@ -96,27 +99,25 @@ class _IntValues:
 
 
 class _PolyValues:
-    """Numerator domain for K = Q(t): monic polynomials, constants are units."""
+    """Numerator domain for K = Q(t): primitive integer polynomials in t with
+    a positive leading coefficient, where the constants are units."""
 
     field = "Q(t)"
-    unit = (Fraction(1),)
+    unit = (1,)
 
     @staticmethod
     def numerator(value):
         if value is INFINITY:
-            return (Fraction(1),)
-        value = _as_ff(value)
-        if value.is_zero:
-            return ()
-        return tuple(polys.monic(list(value.num)))
+            return (1,)
+        return tuple(polys.primitive(_as_ff(value).int_num))
 
     @staticmethod
     def gcd(a, b):
-        return tuple(polys.gcd(list(a), list(b)))
+        return tuple(polys.int_poly_gcd(a, b))
 
     @staticmethod
     def div(a, b):
-        return tuple(polys.exact_div(list(a), list(b)))
+        return tuple(polys.int_exact_div(a, b))
 
     @staticmethod
     def is_unit(a):
@@ -317,15 +318,11 @@ def _first_simple_prime(prime_powers):
 
 def squarefree_primitive_witness_ff(part):
     """Over Q(t): the product of the multiplicity-1 irreducibles of the
-    primitive part `part` (monic).  Nontrivial iff a square-free primitive
-    prime exists; no irreducible factorization is needed."""
-    if _PolyValues.is_unit(part):
-        return None
-    decomposition = polys.squarefree_decomposition(list(part))
-    witness = decomposition.get(1)
-    if witness is None or polys.degree(witness) < 1:
-        return None
-    return tuple(witness)
+    primitive part `part` (primitive, positive leading coefficient), or
+    None.  Nontrivial iff a square-free primitive prime exists; no
+    irreducible factorization is needed."""
+    witness = polys.int_squarefree_decomposition(part).get(1)
+    return None if witness is None else tuple(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +377,12 @@ def zsigmondy_report(
     `factor_cache` maps a primitive part to its factorization made under
     `budget` (from the cache); those parts are not factored again.
     """
-    basis = _EveryEarlier if isinstance(rmap, RationalMapFF) else ZeroOrbit(rmap)
-    domain = basis.domain
     walk = OrbitWalk(rmap, alpha)
+    if isinstance(rmap, RationalMapFF):
+        basis = _EveryEarlier
+    else:  # from alpha = 0 the scan's walk is the orbit of 0
+        basis = ZeroOrbit(rmap, walk if walk.values[0] == 0 else None)
+    domain = basis.domain
     records, termination = orbit(rmap, walk, depth)
     analyzable = [rec for rec in records
                   if rec.value is not INFINITY and rec.value != 0]

@@ -22,7 +22,10 @@ heights come from h(phi^N(alpha)) / d^N on the exact orbit.  The key lemma
 by stepping a residue through the integral forms reduced mod p, against the
 reduction of `RationalMap.evaluate`; p-adic valuations are counted by
 repeated division.  The Q[x] gcd is a primitive pseudo-remainder sequence
-over Z, not the library's heuristic gcd.
+over Z, not the library's heuristic gcd.  Q(t) has the Fraction
+representation the library used before its Z[t] kernels: reduced pairs of
+Fraction polynomials with a monic denominator, the PRS gcd, long division
+over Q, and a Fraction Yun and gcd-strip built on them.
 """
 
 from fractions import Fraction
@@ -585,3 +588,171 @@ def canonical_height_exact(rmap, alpha, tol=1e-6):
     height = 0.0 if value is INFINITY else log(max(abs(value.numerator), value.denominator))
     return CanonicalHeightEstimate(estimate=height / d**n, error_radius=tail(n),
                                    iterations_used=n, c_phi=c_phi, capped=capped)
+
+
+# ---------------------------------------------------------------------------
+# Q(t) over Fractions
+# ---------------------------------------------------------------------------
+
+def _fraction_strip(p):
+    p = [Fraction(c) for c in p]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _fraction_add(p, q):
+    n = max(len(p), len(q))
+    return _fraction_strip([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                            for i in range(n)])
+
+
+def _fraction_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _fraction_strip(out)
+
+
+def fraction_exact_div(p, q):
+    """p / q over Q by long division; q must divide p."""
+    rem, quo = list(p), [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(rem) >= len(q):
+        c = rem[-1] / q[-1]
+        k = len(rem) - len(q)
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = _fraction_strip(rem)
+    if rem:
+        raise AssertionError("fraction_exact_div left a remainder")
+    return _fraction_strip(quo)
+
+
+def _fraction_monic(p):
+    return [c / p[-1] for c in p]
+
+
+class FractionFF:
+    """An element of Q(t) as a reduced pair of Fraction polynomials with a
+    monic denominator: the representation FFElement had before it moved to
+    Z[t], kept as its oracle.  Reduction uses the PRS gcd above."""
+
+    def __init__(self, num, den=(1,)):
+        num, den = _fraction_strip(num), _fraction_strip(den)
+        if not den:
+            raise ZeroDivisionError("FractionFF with zero denominator")
+        if not num:
+            den = [Fraction(1)]
+        elif len(den) > 1:
+            g = prs_gcd(num, den)
+            if len(g) > 1:
+                num, den = fraction_exact_div(num, g), fraction_exact_div(den, g)
+        lc = den[-1]
+        self.num = tuple(c / lc for c in num)
+        self.den = tuple(c / lc for c in den)
+
+    @property
+    def is_zero(self):
+        return not self.num
+
+    def __add__(self, other):
+        return FractionFF(_fraction_add(_fraction_mul(self.num, other.den),
+                                        _fraction_mul(other.num, self.den)),
+                          _fraction_mul(self.den, other.den))
+
+    def __neg__(self):
+        return FractionFF([-c for c in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FractionFF(_fraction_mul(self.num, other.num), _fraction_mul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("FractionFF division by zero")
+        return FractionFF(_fraction_mul(self.num, other.den), _fraction_mul(self.den, other.num))
+
+    def __pow__(self, k):
+        if k < 0:
+            return FractionFF([1]) / self ** (-k)
+        out = FractionFF([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __str__(self):
+        num = _fraction_poly_str(self.num)
+        if len(self.den) == 1:
+            return num
+        return f"({num})/({_fraction_poly_str(self.den)})"
+
+
+def _fraction_poly_str(p):
+    """Descending terms "c*t^k", "+ (p/q)*t", "- t", constants bare, as the
+    library renders polynomials in t."""
+    if not p:
+        return "0"
+    out = ""
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        mag = abs(c)
+        text = f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if k:
+            tpow = "t" if k == 1 else f"t^{k}"
+            text = tpow if mag == 1 else (f"{text}*{tpow}" if mag.denominator == 1
+                                          else f"({text})*{tpow}")
+        if not out:
+            out = ("-" if c < 0 else "") + text
+        else:
+            out += f" {'-' if c < 0 else '+'} {text}"
+    return out
+
+
+def ff_primitive_part_oracle(numerators, n):
+    """The monic n-th numerator with every irreducible it shares with an
+    earlier numerator removed: repeated PRS gcds and Fraction division
+    against each earlier numerator in full ([1] after an earlier zero)."""
+    part = _fraction_monic(numerators[n - 1])
+    for earlier in numerators[: n - 1]:
+        if not earlier:
+            return [Fraction(1)]
+        g = prs_gcd(part, earlier)
+        while len(g) > 1:
+            part = fraction_exact_div(part, g)
+            g = prs_gcd(part, g)
+    return part
+
+
+def yun_oracle(p):
+    """{i: A_i}, A_i monic square-free with p ~ prod A_i^i: Yun's algorithm
+    over Fractions with the PRS gcd."""
+    p = _fraction_monic(_fraction_strip(p))
+    if len(p) < 2:
+        return {}
+    derivative = _fraction_strip([c * i for i, c in enumerate(p)][1:])
+    g = prs_gcd(p, derivative)
+    w = fraction_exact_div(p, g)
+    parts, i = {}, 1
+    while len(w) > 1:
+        y = prs_gcd(w, g)
+        z = fraction_exact_div(w, y)
+        if len(z) > 1:
+            parts[i] = z
+        g = fraction_exact_div(g, y)
+        w = y
+        i += 1
+    return parts

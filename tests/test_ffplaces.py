@@ -1,6 +1,7 @@
 """The function field Q(t): field axioms, heights two ways, square-free
 parts, Mason inequality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 from orbitprimes import polys
 from orbitprimes.exprparse import parse_polynomial
 from orbitprimes.ffplaces import FFElement, ff_height, mason_check
+from orbitprimes.zsigmondy import (OrbitRecord, _EveryEarlier, primitive_part,
+                                   squarefree_primitive_witness_ff)
+from oracles import FractionFF, ff_primitive_part_oracle, yun_oracle
 
 # small pool of polynomials irreducible over Q, used to build elements with
 # known place data
@@ -181,3 +185,65 @@ def test_ffelement_arithmetic_matches_sympy_cancel(f, g, k):
         results.append((f**k, as_sympy(f) ** k))
     for got, expr in results:
         assert (got.num, got.den) == reduced_like_sympy(expr)
+
+
+# -- the Z[t] representation against the Fraction oracle ---------------------------
+
+ff_pairs = st.tuples(
+    t_polys, st.one_of(st.lists(small_rationals.filter(bool), min_size=1, max_size=1), t_polys)
+).filter(lambda nd: nd[1])
+
+
+def both(pair):
+    return FFElement(*pair), FractionFF(*pair)
+
+
+def assert_agrees(got, oracle):
+    """The views, text, equality and hash of an FFElement against its oracle."""
+    assert (got.num, got.den) == (oracle.num, oracle.den)
+    assert all(type(c) is Fraction for c in got.num + got.den)
+    assert str(got) == str(oracle)
+    again = FFElement(list(oracle.num), list(oracle.den))  # built from the oracle's pair
+    assert got == again and hash(got) == hash(again)
+    lc = got.int_den[-1]
+    assert lc > 0 and math.gcd(*got.int_num, *got.int_den) == 1
+    assert all(type(c) is int for c in got.int_num + got.int_den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=ff_pairs, g=ff_pairs, k=st.integers(-3, 3))
+def test_ffelement_matches_the_fraction_oracle(f, g, k):
+    (f, of), (g, og) = both(f), both(g)
+    assert_agrees(f, of)
+    assert (f == g) == (of == og)
+    for got, oracle in ((f + g, of + og), (f - g, of - og), (f * g, of * og), (-f, -of)):
+        assert_agrees(got, oracle)
+    if not g.is_zero:
+        assert_agrees(f / g, of / og)
+    if k >= 0 or not f.is_zero:
+        assert_agrees(f**k, of**k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(ff_pairs, st.integers(1, 3)), min_size=1, max_size=5),
+       factor=ff_pairs)
+def test_the_qt_strip_and_yun_match_the_fraction_oracle(pairs, factor):
+    # a shared factor makes the strips remove something, and the powers
+    # leave repeated factors for Yun
+    values = [FFElement(*pair) ** e * FFElement(*factor) for pair, e in pairs]
+    records = [OrbitRecord(n, value) for n, value in enumerate(values, 1)]
+    numerators = [list((FractionFF(*pair) ** e * FractionFF(*factor)).num) for pair, e in pairs]
+    for n, value in enumerate(values, 1):
+        if value.is_zero:
+            continue
+        part = primitive_part(records, n, _EveryEarlier)
+        assert all(type(c) is int for c in part) and part[-1] > 0
+        assert monic(part) == ff_primitive_part_oracle(numerators, n)
+        decomposition = polys.int_squarefree_decomposition(part)
+        assert {i: monic(a) for i, a in decomposition.items()} == yun_oracle(list(part))
+        witness = squarefree_primitive_witness_ff(part)
+        assert (None if witness is None else monic(witness)) == yun_oracle(list(part)).get(1)
+
+
+def monic(p):
+    return [Fraction(c, p[-1]) for c in p]

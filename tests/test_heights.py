@@ -393,6 +393,8 @@ def test_above_decides_on_bit_lengths_as_on_the_power(num, den, d, shift):
     # 8 levels, and the orbit of 0 to level 7 for the strip; the notes read
     # the scan's walk, whose phi(2) = 7 is above the bound
     (("zsigmondy", "--map", "x^2+3", "--alpha", "2", "--max-n", "8"), 15),
+    # from 0 the scan's walk is the orbit of 0 that the strip reads
+    (("zsigmondy", "--map", "x^2+3", "--alpha", "0", "--max-n", "8"), 8),
 ])
 def test_a_command_walks_its_orbit_once(monkeypatch, capsys, argv, count):
     calls = []

@@ -42,6 +42,8 @@ COMMANDS = {
                  "--max-n", "3"),
     "abc": ("abc", "--a", "1", "--b", "8"),
     "roth-scan": ("roth-scan", "--F", "x^3-2", "--height-bound", "5"),
+    "roth-scan-qt": ("roth-scan", "--F", "x^3+t", "--field", "qt", "--max-degree", "1",
+                     "--coeff-bound", "1"),
     "mason": ("mason", "--a", "t^2", "--b", "1"),
     "galois-tower": ("galois-tower", "--a", "3", "--max-n", "3"),
 }
@@ -99,6 +101,12 @@ def test_q_abc_and_roth_scan_load_no_function_field_module(command):
     package, _ = loaded(*COMMANDS[command])
     assert "abclab" in package
     assert "ffplaces" not in package
+
+
+@pytest.mark.parametrize("command", ["roth-scan", "roth-scan-qt", "mason"])
+def test_roth_scan_and_mason_load_no_orbit_code(command):
+    package, _ = loaded(*COMMANDS[command])
+    assert package.isdisjoint({"maps", "heights", "zsigmondy"})
 
 
 def test_every_public_name_resolves_in_its_module():

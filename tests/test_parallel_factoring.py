@@ -125,6 +125,17 @@ def test_leftovers_that_trial_division_settles_never_fork(monkeypatch):
     assert [intplaces.trial_division(n) for n in SETTLED_TRIALS] == list(SETTLED_TRIALS.values())
 
 
+def test_a_small_factor_call_reads_no_affinity_and_no_pool(monkeypatch):
+    # a leftover below 9973^2 leaves the rho batch empty: no pool is set up
+    def refuse(*args):
+        raise AssertionError("a small factor call reached the rho pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", refuse)
+    monkeypatch.setattr(intplaces, "_parallel_map", refuse)
+    for n in (1, -36, 9973, 99460723, 2**40 * 9967):
+        assert intplaces.factor(n).is_complete
+
+
 def test_without_fork_a_scan_runs_in_sequence(monkeypatch):
     use_cpus(monkeypatch, 2)
     _, expected = scan(*SCAN)

@@ -80,7 +80,8 @@ def test_rational_rendering():
     from fractions import Fraction
 
     from orbitprimes.ffplaces import FFElement
-    from orbitprimes.maps import INFINITY, as_point, point_str
+    from orbitprimes.intplaces import point_str
+    from orbitprimes.maps import INFINITY, as_point
 
     assert point_str(Fraction(5, 3)) == "5/3"
     assert point_str(Fraction(-5, 3)) == "-5/3"
@@ -550,7 +551,7 @@ assert cache.load(0) == {-9 * big: fac}
 import importlib, pkgutil, orbitprimes
 for info in pkgutil.iter_modules(orbitprimes.__path__):  # every module body runs
     importlib.import_module(f"orbitprimes.{info.name}")
-from orbitprimes.maps import point_str
+from orbitprimes.intplaces import point_str
 rendered = point_str(-9 * big)
 assert sys.get_int_max_str_digits() == limit
 sys.set_int_max_str_digits(0)

@@ -47,11 +47,15 @@ OUTCOME_FIELDS = ("exit code", "stdout", "stderr", "cache files")
 # past the scan depth to a value above the bound, and on from a hit on 0 to
 # a repeat.  The last lines run commands and formats no pool does: heights of points over Q
 # and Q(t) (and infinity over Q(t)), an orbit over Q(t) through a pole of t,
-# the bad primes of a resultant, and the csv and table renderers.  The final
+# the bad primes of a resultant, and the csv and table renderers.  The next
 # three reach what the pools do not: every pool F is a monic integer cubic and
 # no pool line reaches degree 512, so they add a Q(t) square-free scan to
 # degree 512 (the Q[t] gcd on large inputs), a Roth scan over Q that skips the
-# rational roots of 4x^3 - x, and one of an F with denominators.  The cache
+# rational roots of 4x^3 - x, and one of an F with denominators.  Every pool
+# Q(t) input is integral and every pool F monic, so four lines give Q(t)
+# denominators: in F's coefficients, in a map's coefficients and alpha, in a
+# map with a pole at t = 0, and in mason's a and b.  No pool scans from 0,
+# where the strip reads the scan's own walk: one line does.  The cache
 # pair at the end is a square-free scan whose top levels leave rho several
 # leftovers: cold, they are factored as one batch and stored; warm, they are
 # read back and skip rho.  No pool cache pair reaches rho.
@@ -103,6 +107,11 @@ EXTRA = tuple(workloads.Job("extra", tuple(line.split())) for line in (
     "zsigmondy --map x^2+t --alpha 1 --field qt --max-n 10 --squarefree-max-n 10",
     "roth-scan --F 4x^3-x --height-bound 15 --budget 50000",
     "roth-scan --F 2x^3-1/3*x+5/7 --height-bound 12 --budget 50000",
+    "roth-scan --F x^3+t/2*x+1/(t+1) --field qt --max-degree 1 --coeff-bound 1",
+    "zsigmondy --map (t*x^2+1)/(2*x) --alpha t/3 --field qt --max-n 5 --squarefree-max-n 5",
+    "zsigmondy --map x^2+1/t --alpha t --field qt --max-n 5 --squarefree-max-n 5",
+    "mason --a (2*t-1)^2/3 --b 1/2",
+    "zsigmondy --map x^2+3 --alpha 0 --max-n 10 --squarefree-max-n 6 --budget 20000",
 )) + (workloads.Job("cache-pair", tuple(
     "zsigmondy --map x^2+8 --alpha 3 --max-n 9 --squarefree-max-n 9 --budget 43000 "
     "--cache sf-rho.jsonl".split())),)
