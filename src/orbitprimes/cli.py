@@ -49,9 +49,15 @@ def _cache_path(arg_path):
     return arg_path
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand, or with only
+    `command` when that names one: a command line naming it parses the same
+    either way, since no usage text is printed with an error."""
     parser = _Parser(prog="orbitprimes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
     def common(p, with_alpha=True):
         p.add_argument("--map", required=True, help="rational map expression in x")
@@ -62,75 +68,75 @@ def build_parser() -> argparse.ArgumentParser:
     def field(p):
         p.add_argument("--field", choices=("q", "qt"), default="q")
 
-    p = sub.add_parser("orbit", help="orbit values with termination reason")
-    common(p)
-    field(p)
-    # --max-n and --squarefree-max-n default to zsigmondy's depths, read when
-    # the command runs so that parsing imports no arithmetic module
-    p.add_argument("--max-n", type=int)
+    if p := add("orbit", "orbit values with termination reason"):
+        common(p)
+        field(p)
+        # --max-n and --squarefree-max-n default to zsigmondy's depths, read when
+        # the command runs so that parsing imports no arithmetic module
+        p.add_argument("--max-n", type=int)
 
-    p = sub.add_parser("zsigmondy", help="primitive prime divisor scan")
-    common(p)
-    field(p)
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--squarefree-max-n", type=int)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cache", help="factorization cache file (JSON lines)")
+    if p := add("zsigmondy", "primitive prime divisor scan"):
+        common(p)
+        field(p)
+        p.add_argument("--max-n", type=int)
+        p.add_argument("--squarefree-max-n", type=int)
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--cache", help="factorization cache file (JSON lines)")
 
-    p = sub.add_parser("height", help="Weil height of a point")
-    p.add_argument("--point", required=True)
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    field(p)
+    if p := add("height", "Weil height of a point"):
+        p.add_argument("--point", required=True)
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+        field(p)
 
-    p = sub.add_parser("canonical-height", help="canonical height with rigorous radius")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    if p := add("canonical-height", "canonical height with rigorous radius"):
+        common(p)
+        p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("classify", help="wandering / preperiodic classification")
-    common(p)
-    p.add_argument("--max-steps", type=int)  # heights.MAX_STEPS, read likewise
+    if p := add("classify", "wandering / preperiodic classification"):
+        common(p)
+        p.add_argument("--max-steps", type=int)  # heights.MAX_STEPS, read likewise
 
-    p = sub.add_parser("map-analyze", help="bad reduction, power map, ramification verdict")
-    common(p, with_alpha=False)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--depth", type=int, default=3, help="ramification scan depth")
-    p.add_argument("--threshold", type=int, default=None)
+    if p := add("map-analyze", "bad reduction, power map, ramification verdict"):
+        common(p, with_alpha=False)
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--depth", type=int, default=3, help="ramification scan depth")
+        p.add_argument("--threshold", type=int, default=None)
 
-    p = sub.add_parser("prop-old", help="shared-prime mass diagnostic")
-    common(p)
-    p.add_argument("--F", required=True, help="polynomial factor of the level-i numerator")
-    p.add_argument("--i", type=int, required=True, help="iterate level of F")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--delta", type=str, default="0.125")
-    p.add_argument("--budget", type=int, default=None)
+    if p := add("prop-old", "shared-prime mass diagnostic"):
+        common(p)
+        p.add_argument("--F", required=True, help="polynomial factor of the level-i numerator")
+        p.add_argument("--i", type=int, required=True, help="iterate level of F")
+        p.add_argument("--max-n", type=int, default=10)
+        p.add_argument("--delta", type=str, default="0.125")
+        p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("abc", help="abc triple quality")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    if p := add("abc", "abc triple quality"):
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
 
-    p = sub.add_parser("roth-scan", help="radical lower-bound scan")
-    p.add_argument("--F", required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    field(p)
-    p.add_argument("--height-bound", type=int, default=100, help="H over Q")
-    p.add_argument("--max-degree", type=int, default=2, help="sample degree over Q(t)")
-    p.add_argument("--coeff-bound", type=int, default=2, help="sample coefficients over Q(t)")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--samples", action="store_true", help="include per-sample rows")
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    if p := add("roth-scan", "radical lower-bound scan"):
+        p.add_argument("--F", required=True)
+        p.add_argument("--epsilon", type=float, default=1.0)
+        field(p)
+        p.add_argument("--height-bound", type=int, default=100, help="H over Q")
+        p.add_argument("--max-degree", type=int, default=2, help="sample degree over Q(t)")
+        p.add_argument("--coeff-bound", type=int, default=2, help="sample coefficients over Q(t)")
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--samples", action="store_true", help="include per-sample rows")
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
 
-    p = sub.add_parser("mason", help="polynomial abc inequality check")
-    p.add_argument("--a", required=True, help="polynomial in t")
-    p.add_argument("--b", required=True, help="polynomial in t")
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    if p := add("mason", "polynomial abc inequality check"):
+        p.add_argument("--a", required=True, help="polynomial in t")
+        p.add_argument("--b", required=True, help="polynomial in t")
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
 
-    p = sub.add_parser("galois-tower", help="square-free certificates for x^2 + a")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    if p := add("galois-tower", "square-free certificates for x^2 + a"):
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--max-n", type=int, default=4)
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
 
     return parser
 
@@ -411,7 +417,8 @@ def dispatch(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _RUNNERS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -302,23 +302,25 @@ def int_poly_gcd(p, q):
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     while True:
         g = primitive(_symmetric_digits(int_gcd(_int_evaluate(a, xi), _int_evaluate(b, xi)), xi))
-        if int_quotient(a, g) is not None and int_quotient(b, g) is not None:
+        if _int_quotient(a, g) is not None and _int_quotient(b, g) is not None:
             return g
         xi = xi * 73794 // 27011
 
 
 def _int_evaluate(a, x):
-    """a(x) for an integer polynomial and an integer x > 1, by Estrin's
-    scheme: adjacent coefficients pair up as c0 + c1 x, then the pairs as
-    d0 + d1 x^2, and so on, so the large multiplies are balanced and run at
-    Karatsuba speed where Horner's would be quadratic in the degree."""
+    """a(x) for a nonzero integer polynomial and an integer x > 1, by
+    Estrin's scheme: adjacent coefficients pair up as c0 + c1 x, then the
+    pairs as d0 + d1 x^2, and so on, so the large multiplies are balanced
+    and run at Karatsuba speed where Horner's would be quadratic in the
+    degree."""
     values = list(a)
     while len(values) > 1:
         if len(values) % 2:
             values.append(0)
         values = [values[i] + values[i + 1] * x for i in range(0, len(values), 2)]
-        x *= x
-    return values[0] if values else 0
+        if len(values) > 1:
+            x *= x
+    return values[0]
 
 
 def _symmetric_digits(h, xi):
@@ -334,7 +336,7 @@ def _symmetric_digits(h, xi):
     return g
 
 
-def int_quotient(a, g):
+def _int_quotient(a, g):
     """a / g in Z[x] when g divides a there, else None: long division that
     stops at the first quotient coefficient that is not an integer, or at a
     nonzero remainder."""
@@ -355,7 +357,7 @@ def int_quotient(a, g):
 
 def int_exact_div(a, g):
     """a / g for integer polynomials where g divides a in Z[x]."""
-    quo = int_quotient(a, g)
+    quo = _int_quotient(a, g)
     if quo is None:
         raise ValueError("int_exact_div: division left a remainder")
     return quo

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from orbitprimes import reports
+from orbitprimes import cli, reports
 from orbitprimes.cache import OrbitCache, _checksum
 from orbitprimes.cli import main
 from orbitprimes.errors import CacheError, InvariantError
@@ -422,6 +422,24 @@ def test_cli_points_are_expression_constants(args, position):
 def test_cli_refuses_unsupported_points_and_fields(args, message):
     proc = run_cli(*args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("zsigmondy", "--map", "x^2+t", "--alpha", "1", "--field", "qt", "--max-n", "3"),
+    ("roth-scan", "--F", "x^3-2", "--samples"),
+    ("mason", "--a", "t^2", "--b", "1", "--format", "csv"),
+    ("prop-old", "--map", "x^2+1", "--alpha", "1", "--F", "x^2+1", "--i", "1", "--field", "qt"),
+    ("galois-tower", "--max-n", "3"),
+])
+def test_the_parser_of_one_command_parses_as_the_full_parser(argv):
+    def outcome(parser):
+        try:
+            return vars(parser.parse_args(argv))
+        except cli._UsageError as exc:
+            return str(exc)
+
+    # a namespace for a command line, or its usage error, as with every subcommand
+    assert outcome(cli.build_parser(argv[0])) == outcome(cli.build_parser())
 
 
 def test_cli_resource_cap_exit_code():
